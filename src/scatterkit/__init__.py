@@ -50,8 +50,10 @@ from .partialwave import (
 )
 from .xsection import (
     AsymptoticAmplitude,
+    CrossSectionGrid,
     CrossSectionSample,
     angular_measure_integral,
+    cross_section_grid,
     dsigma_double_sum,
     dsigma_from_cos_gamma,
     dsigma_full,

@@ -29,8 +29,7 @@ from .partialwave import (
 from .phasesolve import potential_from_json, solve_potential_shifts
 from .specfun import SeriesControl
 from .xsection import (
-    dsigma_full,
-    dsigma_leading,
+    cross_section_grid,
     f_theta_asymptotic,
     one_d_summary,
     sigma_total_asymptotic,
@@ -56,11 +55,35 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
     lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    for row in table:
+        lines.append(",".join(map(_fmt, row.tolist())))
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _grid_table(r: np.ndarray, theta: np.ndarray, *columns) -> np.ndarray:
+    """CSV table (r, theta, *columns), one row per point, r-major, theta-minor.
+
+    Each column broadcasts to the (len(r), len(theta)) grid.
+    """
+    shape = (r.size, theta.size)
+    flat = [np.repeat(r, theta.size), np.tile(theta, r.size)]
+    flat += [np.broadcast_to(c, shape).ravel() for c in columns]
+    return np.column_stack(flat)
+
+
+def _write_summary(path: Path, config: ScatterConfig, shifts: PhaseShiftSet) -> Path:
+    """Cross-section summary JSON: the 1D closed forms, or the asymptotic totals."""
+    if config.n == 1:
+        summary = one_d_summary(shifts)
+    else:
+        summary = {
+            "sigma_total": sigma_total_asymptotic(config, shifts),
+            "per_l": list(sigma_total_mode_terms(config, shifts)),
+        }
+    _write_text(path, json.dumps(summary, indent=2) + "\n")
+    return path
 
 
 def _resolve_rtol(args) -> float:
@@ -122,6 +145,8 @@ class SweepSpec:
 def _r_grid(r_min: float, r_max: float, count: int, scale: str) -> np.ndarray:
     if not r_min > 0:
         raise DomainError("r_min must be > 0")
+    if not (math.isfinite(r_min) and math.isfinite(r_max)):
+        raise DomainError("r grid bounds must be finite")
     if count < 1:
         raise DomainError("r grid must be nonempty")
     if count == 1:
@@ -140,6 +165,13 @@ def _theta_grid(n: int, count: int, interior: bool) -> np.ndarray:
         # midpoint rule keeps away from the axis where the tilt is undefined
         return (np.arange(count) + 0.5) * math.pi / count
     return np.linspace(0.0, math.pi, count)
+
+
+def _solve_shifts(config: ScatterConfig, potential_path: str, lsolve: int) -> PhaseShiftSet:
+    """delta_l for l = 0..lsolve of the potential in a JSON file."""
+    potential = potential_from_json(Path(potential_path).read_text())
+    results = solve_potential_shifts(config, potential, lsolve)
+    return PhaseShiftSet.from_deltas(m.delta for m in results)
 
 
 def _load_shift_source(args, rtol: float) -> tuple[ScatterConfig, PhaseShiftSet]:
@@ -163,10 +195,7 @@ def _load_shift_source(args, rtol: float) -> tuple[ScatterConfig, PhaseShiftSet]
         # auto policy so the solved shifts can be evaluated at any radius
         config = ScatterConfig(n=n, k=k, series=series)
         lsolve = args.lmax if args.lmax is not None else DEFAULT_SOLVE_LMAX
-        results = solve_potential_shifts(config, potential_from_json(
-            Path(args.potential).read_text()), lsolve)
-        shifts = PhaseShiftSet.from_deltas(m.delta for m in results)
-        return config, shifts
+        return config, _solve_shifts(config, args.potential, lsolve)
     else:
         raise DomainError("one of --shifts, --delta, --potential is required")
     if n is None or k is None:
@@ -174,63 +203,50 @@ def _load_shift_source(args, rtol: float) -> tuple[ScatterConfig, PhaseShiftSet]
     return ScatterConfig(n=n, k=k, lmax=args.lmax, series=series), shifts
 
 
+def _write_wavefield(path: Path, config, shifts, r, theta_count: int, jobs) -> Path:
+    theta = _theta_grid(config.n, theta_count, interior=False)
+    psi, psi_in, psi_sc = evaluate_grid(config, shifts, r, theta, jobs=jobs)
+    parts = [g for f in (psi, psi_in, psi_sc) for g in (f.real, f.imag)]
+    _write_csv(path, WAVEFIELD_HEADER, _grid_table(r, theta, *parts))
+    return path
+
+
+def _asympt_columns(config, shifts, theta, dsigma) -> tuple[np.ndarray, np.ndarray]:
+    """|f(theta)|^2, once per angle, and dsigma / |f|^2 (nan where f = 0)."""
+    f2 = np.array([abs(f_theta_asymptotic(config, shifts, float(t)).f) ** 2 for t in theta])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(f2 > 0, dsigma / f2, float("nan"))
+    return f2, ratio
+
+
+def _write_xsection(path: Path, config, shifts, r, theta_count: int, asympt: bool) -> Path:
+    theta = _theta_grid(config.n, theta_count, interior=True)
+    grid = cross_section_grid(config, shifts, r, theta)
+    header = XSECTION_HEADER
+    columns = [grid.dsigma_domega, grid.jr_sc, grid.jtheta_sc, grid.gamma]
+    if asympt:
+        header += ",f2_asympt,ratio"
+        columns += _asympt_columns(config, shifts, theta, grid.dsigma_domega)
+    _write_csv(path, header, _grid_table(r, theta, *columns))
+    return path
+
+
 def cmd_wavefield(args) -> int:
     config, shifts = _load_shift_source(args, _resolve_rtol(args))
     r = _r_grid(args.r_min, args.r_max, args.r_count, args.r_scale)
-    theta = _theta_grid(config.n, args.theta_count, interior=False)
-    psi, psi_in, psi_sc = evaluate_grid(config, shifts, r, theta, jobs=args.jobs)
-    rows = []
-    for i, rv in enumerate(r):  # r-major, theta-minor
-        for j, tv in enumerate(theta):
-            rows.append(
-                (
-                    rv, tv,
-                    psi[i, j].real, psi[i, j].imag,
-                    psi_in[i, j].real, psi_in[i, j].imag,
-                    psi_sc[i, j].real, psi_sc[i, j].imag,
-                )
-            )
     out = Path(args.out) / "wavefield.csv"
-    _write_csv(out, WAVEFIELD_HEADER, rows)
-    print(out)
+    print(_write_wavefield(out, config, shifts, r, args.theta_count, args.jobs))
     return 0
-
-
-def _xsection_rows(config, shifts, r_values, theta_values, with_asympt):
-    rows = []
-    for rv in r_values:
-        for tv in theta_values:
-            sample = dsigma_full(config, shifts, float(rv), float(tv), degenerate_ok=True)
-            row = [rv, tv, sample.dsigma_domega, sample.jr_sc, sample.jtheta_sc, sample.gamma]
-            if with_asympt:
-                f2 = abs(f_theta_asymptotic(config, shifts, float(tv)).f) ** 2
-                row.append(f2)
-                row.append(sample.dsigma_domega / f2 if f2 > 0 else float("nan"))
-            rows.append(row)
-    return rows
 
 
 def cmd_xsection(args) -> int:
     config, shifts = _load_shift_source(args, _resolve_rtol(args))
     out_dir = Path(args.out)
-    if config.n == 1:
-        summary = one_d_summary(shifts)
-        out = out_dir / "summary.json"
-        _write_text(out, json.dumps(summary, indent=2) + "\n")
-        print(out)
-        return 0
-    r = _r_grid(args.r_min, args.r_max, args.r_count, args.r_scale)
-    theta = _theta_grid(config.n, args.theta_count, interior=True)
-    header = XSECTION_HEADER + (",f2_asympt,ratio" if args.asympt else "")
-    rows = _xsection_rows(config, shifts, r, theta, args.asympt)
-    _write_csv(out_dir / "xsection.csv", header, rows)
-    summary = {
-        "sigma_total": sigma_total_asymptotic(config, shifts),
-        "per_l": list(sigma_total_mode_terms(config, shifts)),
-    }
-    _write_text(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    print(out_dir / "xsection.csv")
-    print(out_dir / "summary.json")
+    if config.n > 1:
+        r = _r_grid(args.r_min, args.r_max, args.r_count, args.r_scale)
+        out = out_dir / "xsection.csv"
+        print(_write_xsection(out, config, shifts, r, args.theta_count, args.asympt))
+    print(_write_summary(out_dir / "summary.json", config, shifts))
     return 0
 
 
@@ -239,10 +255,8 @@ def cmd_phaseshifts(args) -> int:
     if args.n is None or args.k is None:
         raise DomainError("--n and --k are required")
     config = ScatterConfig(n=args.n, k=args.k, series=SeriesControl(rel_tol=rtol))
-    potential = potential_from_json(Path(args.potential).read_text())
     lsolve = args.lmax if args.lmax is not None else DEFAULT_SOLVE_LMAX
-    results = solve_potential_shifts(config, potential, lsolve)
-    shifts = PhaseShiftSet.from_deltas(m.delta for m in results)
+    shifts = _solve_shifts(config, args.potential, lsolve)
     out = Path(args.out) / "shifts.json"
     _write_text(out, phase_shifts_to_json(args.n, args.k, shifts))
     print(out)
@@ -253,12 +267,8 @@ def cmd_asympt_compare(args) -> int:
     config, shifts = _load_shift_source(args, _resolve_rtol(args))
     r = _r_grid(args.r_min, args.r_max, args.r_count, args.r_scale)
     theta = _theta_grid(config.n, args.theta_count, interior=True)
-    rows = []
-    for rv in r:
-        for tv in theta:
-            ds = dsigma_leading(config, shifts, float(rv), float(tv))
-            f2 = abs(f_theta_asymptotic(config, shifts, float(tv)).f) ** 2
-            rows.append((rv, tv, ds, f2, ds / f2 if f2 > 0 else float("nan")))
+    ds = cross_section_grid(config, shifts, r, theta).dsigma_leading
+    rows = _grid_table(r, theta, ds, *_asympt_columns(config, shifts, theta, ds))
     out = Path(args.out) / "asympt_compare.csv"
     _write_csv(out, ASYMPT_HEADER, rows)
     print(out)
@@ -287,46 +297,15 @@ def cmd_sweep(args) -> int:
     for n in spec.n_list:
         config = ScatterConfig(n=n, k=spec.k, series=series)
         if base_shifts is None:
-            potential = potential_from_json(Path(src["potential"]).read_text())
-            results = solve_potential_shifts(config, potential, DEFAULT_SOLVE_LMAX)
-            shifts = PhaseShiftSet.from_deltas(m.delta for m in results)
+            shifts = _solve_shifts(config, src["potential"], DEFAULT_SOLVE_LMAX)
         else:
             shifts = base_shifts
-
-        theta_w = _theta_grid(n, spec.theta_count, interior=False)
-        psi, psi_in, psi_sc = evaluate_grid(config, shifts, r, theta_w, jobs=args.jobs)
-        rows = []
-        for i, rv in enumerate(r):
-            for j, tv in enumerate(theta_w):
-                rows.append(
-                    (
-                        rv, tv,
-                        psi[i, j].real, psi[i, j].imag,
-                        psi_in[i, j].real, psi_in[i, j].imag,
-                        psi_sc[i, j].real, psi_sc[i, j].imag,
-                    )
-                )
-        path_w = out_dir / f"wavefield_n{n}.csv"
-        _write_csv(path_w, WAVEFIELD_HEADER, rows)
-        written.append(path_w)
-
-        if n == 1:
-            path_s = out_dir / f"summary_n{n}.json"
-            _write_text(path_s, json.dumps(one_d_summary(shifts), indent=2) + "\n")
-            written.append(path_s)
-        else:
-            theta_x = _theta_grid(n, spec.theta_count, interior=True)
-            rows = _xsection_rows(config, shifts, r, theta_x, with_asympt=False)
-            path_x = out_dir / f"xsection_n{n}.csv"
-            _write_csv(path_x, XSECTION_HEADER, rows)
-            written.append(path_x)
-            summary = {
-                "sigma_total": sigma_total_asymptotic(config, shifts),
-                "per_l": list(sigma_total_mode_terms(config, shifts)),
-            }
-            path_s = out_dir / f"summary_n{n}.json"
-            _write_text(path_s, json.dumps(summary, indent=2) + "\n")
-            written.append(path_s)
+        written.append(_write_wavefield(
+            out_dir / f"wavefield_n{n}.csv", config, shifts, r, spec.theta_count, args.jobs))
+        if n > 1:
+            written.append(_write_xsection(
+                out_dir / f"xsection_n{n}.csv", config, shifts, r, spec.theta_count, False))
+        written.append(_write_summary(out_dir / f"summary_n{n}.json", config, shifts))
     for p in written:
         print(p)
     return 0
@@ -341,7 +320,7 @@ def _add_common(p: argparse.ArgumentParser, grids: bool = True) -> None:
                    help="series tolerance (env SCATTERKIT_RTOL overrides default)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--jobs", type=int, default=os.cpu_count(),
-                   help="parallel workers for grid evaluation")
+                   help="threads for the per-radius Bessel evaluation of a wavefield")
     if grids:
         p.add_argument("--shifts", default=None, help="phase-shift JSON file")
         p.add_argument("--delta", default=None,

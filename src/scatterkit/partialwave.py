@@ -11,6 +11,10 @@ cos(l*theta) basis with degeneracy weights (the generic coefficient has a
 removable singularity there), and n = 1 the two-direction basis
 theta in {0, pi}.  The planar and one-dimensional branches are first-class
 closed forms, not limits of the generic path.
+
+Production fields are contractions against one partial-wave basis per grid
+(evaluate_grid); plane_wave, radial_wavefunction's sine form and
+f_r_theta_3d are the paper's alternative forms, kept as test oracles.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -66,10 +71,10 @@ class ScatterConfig:
     series: SeriesControl = field(default_factory=SeriesControl)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.n != int(self.n):
+        if isinstance(self.n, bool) or self.n < 1 or self.n != int(self.n):
             raise DomainError(f"dimension must be an integer >= 1, got n={self.n}")
-        if not self.k > 0:
-            raise DomainError(f"wavenumber must be > 0, got k={self.k}")
+        if not (self.k > 0 and math.isfinite(self.k)):
+            raise DomainError(f"wavenumber must be finite and > 0, got k={self.k}")
         if self.lmax is not None and self.lmax < 0:
             raise DomainError(f"lmax must be >= 0, got {self.lmax}")
 
@@ -164,9 +169,22 @@ class FieldSample:
 # --------------------------------------------------------------------------
 
 
-def _deg(l: int) -> int:
-    # planar degeneracy weight
-    return 1 if l == 0 else 2
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^l = _I_POWERS[l % 4], exactly
+
+
+def _coef_vector(n: int, k: float, lmax: int) -> np.ndarray:
+    """C_l for l = 0..lmax (see mode_coefficient)."""
+    ls = np.arange(lmax + 1)
+    il = _I_POWERS[ls % 4]
+    if n == 1:
+        return -0.5 * k * (2 * ls - 1) * il
+    if n == 2:
+        # degeneracy weight Deg(l): 1 for l = 0, else 2
+        return 0.5 * math.sqrt(2.0 * k / math.pi) * np.where(ls == 0, 1, 2) * il
+    pref = cmath.exp(specfun.gamma_ln(n / 2.0 - 1.0)).real / (
+        math.sqrt(math.pi) * (k / 2.0) ** ((n - 3) / 2.0)
+    )
+    return 0.5 * pref * (2 * ls + n - 2) * il
 
 
 def mode_coefficient(n: int, k: float, l: int) -> complex:
@@ -176,19 +194,20 @@ def mode_coefficient(n: int, k: float, l: int) -> complex:
     n = 2 takes the removable-singularity limit Deg(l) sqrt(2k/pi) i^l / 2,
     n = 1 evaluates the Gamma prefactor to -k.
     """
-    il = 1j**l
-    if n == 1:
-        return -0.5 * k * (2 * l - 1) * il
-    if n == 2:
-        return 0.5 * math.sqrt(2.0 * k / math.pi) * _deg(l) * il
-    pref = cmath.exp(specfun.gamma_ln(n / 2.0 - 1.0)).real / (
-        math.sqrt(math.pi) * (k / 2.0) ** ((n - 3) / 2.0)
-    )
-    return 0.5 * pref * (2 * l + n - 2) * il
+    return complex(_coef_vector(n, k, l)[l])
 
 
-def _coef_vector(n: int, k: float, lmax: int) -> np.ndarray:
-    return np.array([mode_coefficient(n, k, l) for l in range(lmax + 1)])
+def _grid_axes(r_values, theta_values) -> tuple[np.ndarray, np.ndarray]:
+    """Radii (finite, > 0) and polar angles (in [0, pi]) as checked 1-D arrays."""
+    r = np.asarray(r_values, dtype=float).ravel()
+    theta = np.asarray(theta_values, dtype=float).ravel()
+    bad_r = r[~((r > 0) & np.isfinite(r))]
+    if bad_r.size:
+        raise DomainError(f"radius must be finite and > 0, got r={bad_r[0]}")
+    bad_theta = theta[~((theta >= 0) & (theta <= math.pi))]
+    if bad_theta.size:
+        raise DomainError(f"theta must lie in [0, pi], got {bad_theta[0]}")
+    return r, theta
 
 
 def _check_theta_1d(theta: float) -> bool:
@@ -233,41 +252,17 @@ def angular_table(n: int, lmax: int, thetas: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _field_row(
-    config: ScatterConfig,
-    shifts: PhaseShiftSet | None,
-    r: float,
-    thetas: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi, psi_in, psi_sc) over a theta row at fixed radius.
+def _contract(radial: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """sum_l radial[l, i] ang[l, j], shape (radial.shape[1], ang.shape[1]).
 
-    psi is assembled from the post-scattering mode sum C_l [h2 + e^{2id} h1],
-    psi_in from the half-sum form, psi_sc from the outgoing-only sum limited
-    to the stored shifts.  Per-point accumulation runs in ascending l so the
-    result is identical however points are distributed across workers.
+    Accumulates in ascending l with elementwise array operations, so every
+    point is summed the same way whatever the grid shape; a BLAS product
+    would not guarantee that.
     """
-    if not r > 0:
-        raise DomainError(f"radius must be > 0, got r={r}")
-    n, k = config.n, config.k
-    lmax = config.incident_lmax(r)
-    z = k * r
-    s = (n - 3) / 2.0
-    rs = r**s
-    h2, h1 = specfun.hankel_basis(n, lmax, z)
-    coefs = _coef_vector(n, k, lmax)
-    ang = angular_table(n, lmax, thetas)
-    e2 = shifts.phase_factors(lmax) if shifts is not None else np.ones(lmax + 1, complex)
-    l_sc = min(shifts.lmax, lmax) if shifts is not None else -1
-
-    psi = np.zeros(ang.shape[1:], dtype=complex)
-    psi_in = np.zeros_like(psi)
-    psi_sc = np.zeros_like(psi)
-    for l in range(lmax + 1):
-        psi += coefs[l] * (h2[l] + e2[l] * h1[l]) * ang[l]
-        psi_in += coefs[l] * (h2[l] + h1[l]) * ang[l]
-        if l <= l_sc:
-            psi_sc += coefs[l] * (e2[l] - 1.0) * h1[l] * ang[l]
-    return psi / rs, psi_in / rs, psi_sc / rs
+    out = np.zeros((radial.shape[1], ang.shape[1]), dtype=complex)
+    for l in range(radial.shape[0]):
+        out += radial[l][:, None] * ang[l]
+    return out
 
 
 def plane_wave(config: ScatterConfig, r: float, theta: float) -> complex:
@@ -316,8 +311,8 @@ def a_l(
 
 def psi_incident(config: ScatterConfig, r: float, theta: float) -> complex:
     """Incident plane wave assembled from both Hankel kinds (half-sum form)."""
-    _, psi_in, _ = _field_row(config, None, r, np.atleast_1d(float(theta)))
-    return complex(psi_in[0])
+    _, psi_in, _ = evaluate_grid(config, PhaseShiftSet((0.0,)), [r], [theta])
+    return complex(psi_in[0, 0])
 
 
 def psi_total(
@@ -325,18 +320,10 @@ def psi_total(
 ) -> FieldSample:
     """Total, incident and scattered wave at one point after elastic scattering.
 
-    psi carries e^{2i delta_l} on each outgoing mode; psi_sc is the
-    outgoing-only sum over the stored shifts, so psi = psi_in + psi_sc holds
-    up to floating rounding and the scattered part needs no high l cutoff.
+    The 1x1 case of evaluate_grid, so it equals the grid value bit for bit.
     """
-    psi, psi_in, psi_sc = _field_row(config, shifts, r, np.atleast_1d(float(theta)))
-    return FieldSample(
-        r=float(r),
-        theta=float(theta),
-        psi=complex(psi[0]),
-        psi_in=complex(psi_in[0]),
-        psi_sc=complex(psi_sc[0]),
-    )
+    fields = evaluate_grid(config, shifts, [r], [theta])
+    return FieldSample(float(r), float(theta), *(complex(f[0, 0]) for f in fields))
 
 
 def evaluate_grid(
@@ -348,30 +335,39 @@ def evaluate_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field grids (psi, psi_in, psi_sc), shape (len(r), len(theta)).
 
-    Rows (fixed radius) are independent, so they are farmed out to `jobs`
-    workers; each point is still accumulated in ascending l, making the
-    output identical for any worker count.
+    psi_in is the half-sum C_l [h2 + h1] over l <= incident_lmax(r), psi_sc
+    the outgoing-only sum C_l (e^{2i delta_l} - 1) h1 over every stored
+    shift, and psi = psi_in + psi_sc.  Coefficients and angular table are
+    built once per grid, the Hankel basis once per radius (on `jobs`
+    threads if jobs > 1: scipy's Bessel kernels release the GIL).  Points
+    are summed in ascending l, so a grid value equals the 1x1 evaluation
+    bit for bit, for any `jobs`.
     """
-    r_values = np.asarray(r_values, dtype=float)
-    theta_values = np.asarray(theta_values, dtype=float)
-    shape = (r_values.size, theta_values.size)
-    psi = np.empty(shape, dtype=complex)
-    psi_in = np.empty(shape, dtype=complex)
-    psi_sc = np.empty(shape, dtype=complex)
-
-    def fill(i: int) -> None:
-        p, pin, psc = _field_row(config, shifts, float(r_values[i]), theta_values)
-        psi[i] = p
-        psi_in[i] = pin
-        psi_sc[i] = psc
-
+    r, theta = _grid_axes(r_values, theta_values)
+    n, k = config.n, config.k
+    l_in = [config.incident_lmax(float(rv)) for rv in r]
+    l_sc = shifts.lmax
+    lmax = max([*l_in, l_sc])
+    orders = [max(l, l_sc) for l in l_in]
     if jobs is not None and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fill, range(r_values.size)))
+            bases = list(pool.map(specfun.hankel_basis, repeat(n), orders, k * r))
     else:
-        for i in range(r_values.size):
-            fill(i)
-    return psi, psi_in, psi_sc
+        bases = list(map(specfun.hankel_basis, repeat(n), orders, k * r))
+
+    coefs = _coef_vector(n, k, lmax)
+    sc = coefs[: l_sc + 1] * (shifts.phase_factors(l_sc) - 1.0)
+    rad_in = np.zeros((lmax + 1, r.size), dtype=complex)  # zero above L(r)
+    rad_sc = np.empty((l_sc + 1, r.size), dtype=complex)
+    for i, (h2, h1) in enumerate(bases):
+        upto = l_in[i] + 1
+        rad_in[:upto, i] = coefs[:upto] * (h2[:upto] + h1[:upto])
+        rad_sc[:, i] = sc * h1[: l_sc + 1]
+    ang = angular_table(n, lmax, theta)
+    rs = (r ** ((n - 3) / 2.0))[:, None]
+    psi_in = _contract(rad_in, ang) / rs
+    psi_sc = _contract(rad_sc, ang) / rs
+    return psi_in + psi_sc, psi_in, psi_sc
 
 
 # --------------------------------------------------------------------------

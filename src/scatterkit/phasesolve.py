@@ -169,7 +169,7 @@ def _interior_logderivative(order: Order, q2: float, a: float, series) -> tuple[
         q = math.sqrt(q2)
         f = specfun.spherical_bessel_j(order, q * a, series)
         f_up = specfun.spherical_bessel_j(Order(order.l + 1, order.n), q * a, series)
-        fp = q * ((order.nu / (q * a)) * f - f_up)
+        fp = q * specfun.hankel_derivative(order.nu, f, f_up, q * a)
         return f, fp
     kappa = math.sqrt(-q2)
     z = kappa * a
@@ -213,8 +213,8 @@ def square_well_shift(
     h2 = specfun.spherical_hankel(2, order, z, config.series)
     h1_up = specfun.spherical_hankel(1, Order(l + 1, n), z, config.series)
     h2_up = specfun.spherical_hankel(2, Order(l + 1, n), z, config.series)
-    dh1 = k * ((order.nu / z) * h1 - h1_up)
-    dh2 = k * ((order.nu / z) * h2 - h2_up)
+    dh1 = k * specfun.hankel_derivative(order.nu, h1, h1_up, z)
+    dh2 = k * specfun.hankel_derivative(order.nu, h2, h2_up, z)
     ratio = -(fp * h2 - f * dh2) / (fp * h1 - f * dh1)
     delta = 0.5 * float(np.angle(ratio))
     return MatchResult(l=l, delta=delta, c_over_d_residual=abs(abs(ratio) - 1.0))
@@ -309,8 +309,8 @@ def ode_shift(
         h2 = specfun.spherical_hankel(2, order, z, config.series)
         h1_up = specfun.spherical_hankel(1, Order(l + 1, n), z, config.series)
         h2_up = specfun.spherical_hankel(2, Order(l + 1, n), z, config.series)
-        dh1 = k * ((order.nu / z) * h1 - h1_up)
-        dh2 = k * ((order.nu / z) * h2 - h2_up)
+        dh1 = k * specfun.hankel_derivative(order.nu, h1, h1_up, z)
+        dh2 = k * specfun.hankel_derivative(order.nu, h2, h2_up, z)
         u2, u1 = h2 / rm**s, h1 / rm**s
         du2 = dh2 / rm**s - s * h2 / rm ** (s + 1.0)
         du1 = dh1 / rm**s - s * h1 / rm ** (s + 1.0)

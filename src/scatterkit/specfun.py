@@ -56,6 +56,7 @@ __all__ = [
     "spherical_hankel",
     "spherical_bessel_j",
     "hankel_basis",
+    "hankel_derivative",
     "spherical_jn_basis",
 ]
 
@@ -542,8 +543,8 @@ def hankel_basis(n: int, lmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns two complex arrays of length lmax+1.
     """
-    if not z > 0:
-        raise DomainError(f"argument must be real and > 0, got z={z}")
+    if not (z > 0 and math.isfinite(z)):
+        raise DomainError(f"argument must be real, finite and > 0, got z={z}")
     orders = np.arange(lmax + 1) + (n - 2) / 2.0  # nu_l + 1/2
     pref = math.sqrt(math.pi / (2.0 * z))
     jj = jv(orders, z)
@@ -559,6 +560,15 @@ def hankel_basis(n: int, lmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(h1.view(float))) and np.all(np.isfinite(h2.view(float)))):
         raise OverflowGuardError(f"Hankel overflow for lmax={lmax}, n={n}, z={z}")
     return h2, h1
+
+
+def hankel_derivative(nu, h, h_next, z):
+    """d/dz h_nu(z) = (nu/z) h_nu(z) - h_{nu+1}(z).
+
+    Holds for h^(1), h^(2) and j_nu alike at nu = l + (n-3)/2; scalars or
+    broadcastable arrays.
+    """
+    return (nu / z) * h - h_next
 
 
 def spherical_jn_basis(n: int, lmax: int, z: float) -> np.ndarray:

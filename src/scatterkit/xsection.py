@@ -35,19 +35,23 @@ from .errors import (
 from .partialwave import (
     PhaseShiftSet,
     ScatterConfig,
+    _I_POWERS,
+    _coef_vector,
+    _contract,
+    _grid_axes,
     a_l,
     angular_table,
-    mode_coefficient,
 )
-from .specfun import Order
 
 __all__ = [
     "CrossSectionSample",
+    "CrossSectionGrid",
     "AsymptoticAmplitude",
     "wronskian_radial",
     "dsigma_leading",
     "dsigma_double_sum",
     "dsigma_full",
+    "cross_section_grid",
     "dsigma_from_cos_gamma",
     "one_d_summary",
     "two_d_dsigma",
@@ -75,6 +79,22 @@ class CrossSectionSample:
 
 
 @dataclass(frozen=True)
+class CrossSectionGrid:
+    """Current-resolved cross sections on an (r, theta) grid.
+
+    Every array has shape (len(r), len(theta)).  dsigma_leading keeps the
+    radial current only; dsigma_domega and gamma are the full form, and are
+    0 and nan where the radial current is below the underflow guard.
+    """
+
+    dsigma_leading: np.ndarray
+    dsigma_domega: np.ndarray
+    jr_sc: np.ndarray
+    jtheta_sc: np.ndarray
+    gamma: np.ndarray
+
+
+@dataclass(frozen=True)
 class AsymptoticAmplitude:
     """Large-distance scattering amplitude f(theta) (scale length^((n-1)/2))."""
 
@@ -87,70 +107,23 @@ class AsymptoticAmplitude:
 # --------------------------------------------------------------------------
 
 
-def _scattered_coefficients(config: ScatterConfig, shifts: PhaseShiftSet) -> np.ndarray:
-    # C_l (e^{2i delta_l} - 1) for l = 0..L; multiplies h1_nu(kr)/r^s ang_l
-    n, k = config.n, config.k
-    return np.array(
-        [
-            mode_coefficient(n, k, l) * (shifts.phase_factor(l) - 1.0)
-            for l in range(shifts.lmax + 1)
-        ]
-    )
+def _angular_derivative_table(n: int, lmax: int, theta: np.ndarray) -> np.ndarray:
+    """d/dtheta of angular_table, shape (lmax+1, len(theta)).
 
-
-def _hankel_h1_with_derivative(
-    n: int, lmax: int, k: float, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    # h1_l(kr) and d/dr h1_l(kr) for l = 0..lmax, via h'(z) = (nu/z) h - h_{nu+1}
-    z = k * r
-    _, h1 = specfun.hankel_basis(n, lmax + 1, z)
-    nus = np.arange(lmax + 1) + (n - 3) / 2.0
-    dh1 = k * ((nus / z) * h1[:-1] - h1[1:])
-    return h1[:-1], dh1
-
-
-def _scattered_point(
-    config: ScatterConfig, shifts: PhaseShiftSet, r: float, theta: float
-) -> tuple[complex, complex, complex]:
-    """(psi_sc, d/dr psi_sc, d/dtheta psi_sc) at one point.
-
-    The theta derivative uses d/dx C_l^lam = 2 lam C_{l-1}^{lam+1} in n >= 3
-    and -l sin(l theta) in n = 2; it is not defined for n = 1.
+    -l sin(l theta) in n = 2, d/dx C_l^lam = 2 lam C_{l-1}^{lam+1} in n >= 3;
+    nan in n = 1, which has no continuous angle.
     """
-    if not r > 0:
-        raise DomainError(f"radius must be > 0, got r={r}")
-    n, k = config.n, config.k
-    lmax = shifts.lmax
-    s = (n - 3) / 2.0
-    rs = r**s
-    sc = _scattered_coefficients(config, shifts)
-    h1, dh1 = _hankel_h1_with_derivative(n, lmax, k, r)
-
-    ang = angular_table(n, lmax, np.float64(theta))
     if n == 1:
-        dang = None
-    elif n == 2:
-        ls = np.arange(lmax + 1)
-        dang = -ls * np.sin(ls * theta)
-    else:
-        lam = n / 2.0 - 1.0
-        x = math.cos(theta)
-        dang = np.zeros(lmax + 1)
-        if lmax >= 1:
-            upper = specfun.gegenbauer_table(lmax - 1, lam + 1.0, np.float64(x))
-            dang[1:] = -math.sin(theta) * 2.0 * lam * upper
-
-    psi = 0.0 + 0.0j
-    dpsi_r = 0.0 + 0.0j
-    dpsi_t = 0.0 + 0.0j
-    for l in range(lmax + 1):
-        radial = h1[l] / rs
-        dradial = dh1[l] / rs - s * h1[l] / (rs * r)
-        psi += sc[l] * radial * ang[l]
-        dpsi_r += sc[l] * dradial * ang[l]
-        if dang is not None:
-            dpsi_t += sc[l] * radial * dang[l]
-    return psi, dpsi_r, (dpsi_t if dang is not None else complex("nan"))
+        return np.full((lmax + 1, theta.size), np.nan)
+    ls = np.arange(lmax + 1)[:, None]
+    if n == 2:
+        return -ls * np.sin(ls * theta)
+    lam = n / 2.0 - 1.0
+    out = np.zeros((lmax + 1, theta.size))
+    if lmax >= 1:
+        upper = specfun.gegenbauer_table(lmax - 1, lam + 1.0, np.cos(theta))
+        out[1:] = -np.sin(theta) * 2.0 * lam * upper
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -178,7 +151,7 @@ def wronskian_radial(config: ScatterConfig, l: int, lp: int, r: float) -> comple
         return h[idx] / rs
 
     def dscaled(h, idx):
-        dh = k * ((nus[idx] / z) * h[idx] - h[idx + 1])
+        dh = k * specfun.hankel_derivative(nus[idx], h[idx], h[idx + 1], z)
         return dh / rs - s * h[idx] / (rs * r)
 
     return scaled(h2, l) * dscaled(h1, lp) - scaled(h1, lp) * dscaled(h2, l)
@@ -222,15 +195,60 @@ def dsigma_double_sum(
 # --------------------------------------------------------------------------
 
 
+def cross_section_grid(
+    config: ScatterConfig, shifts: PhaseShiftSet, r_values, theta_values
+) -> CrossSectionGrid:
+    """Leading and full differential cross sections on an (r, theta) grid.
+
+    psi_sc and its r and theta derivatives are contractions of the stored
+    modes C_l (e^{2i delta_l} - 1) h1_nu(kr)/r^s, s = (n-3)/2, against one
+    angular table and its theta derivative, both built once for the grid:
+
+        j_r = Im(psi_sc* d/dr psi_sc),  j_theta = Im(psi_sc* d/dtheta psi_sc) / r,
+        leading = r^(n-1) j_r / k,  full = (j_r / k) [1 + (j_theta / j_r)^2] r^(n-1).
+    """
+    r, theta = _grid_axes(r_values, theta_values)
+    n, k = config.n, config.k
+    lmax = shifts.lmax
+    s = (n - 3) / 2.0
+    sc = _coef_vector(n, k, lmax) * (shifts.phase_factors(lmax) - 1.0)
+    h1 = np.array([specfun.hankel_basis(n, lmax + 1, k * rv)[1] for rv in r], dtype=complex)
+    h1 = h1.reshape(r.size, lmax + 2).T
+    nus = np.arange(lmax + 1)[:, None] + s
+    dh1 = k * specfun.hankel_derivative(nus, h1[:-1], h1[1:], k * r)
+    h1 = h1[:-1]
+    rs = r**s
+    radial = sc[:, None] * (h1 / rs)
+    dradial = sc[:, None] * (dh1 / rs - s * h1 / (rs * r))
+    ang = angular_table(n, lmax, theta)
+    psi = _contract(radial, ang)
+    jr = np.imag(np.conj(psi) * _contract(dradial, ang))
+    dpsi_t = _contract(radial, _angular_derivative_table(n, lmax, theta))
+    jt = np.imag(np.conj(psi) * dpsi_t) / r[:, None]
+    area = r[:, None] ** (n - 1)
+    degenerate = np.abs(jr) <= config.series.underflow_guard
+    with np.errstate(divide="ignore", invalid="ignore"):
+        full = (jr / k) * (1.0 + (jt / jr) ** 2) * area
+    return CrossSectionGrid(
+        dsigma_leading=area / k * jr,
+        dsigma_domega=np.where(degenerate, 0.0, full),
+        jr_sc=jr,
+        jtheta_sc=jt,
+        gamma=np.where(degenerate, np.nan, np.arctan2(jt, jr)),
+    )
+
+
 def dsigma_leading(
     config: ScatterConfig, shifts: PhaseShiftSet, r: float, theta: float
 ) -> float:
     """Leading (radial-current) differential cross section at finite distance,
 
-        dsigma/dOmega = r^(n-1) (1/k) Im(psi_sc* d/dr psi_sc).
+        dsigma/dOmega = r^(n-1) (1/k) Im(psi_sc* d/dr psi_sc),
+
+    the 1x1 case of cross_section_grid.
     """
-    psi, dpsi_r, _ = _scattered_point(config, shifts, r, theta)
-    return r ** (config.n - 1) / config.k * float(np.imag(np.conj(psi) * dpsi_r))
+    grid = cross_section_grid(config, shifts, [r], [theta])
+    return float(grid.dsigma_leading[0, 0])
 
 
 def dsigma_full(
@@ -242,29 +260,24 @@ def dsigma_full(
 ) -> CrossSectionSample:
     """Full current-based differential cross section with the tilt angle.
 
-    Requires 0 < theta < pi (the angular derivative is not modelled at the
-    forward/backward axis).  When the radial scattered current is below the
-    underflow guard the tilt is undefined: raises, or returns a zero sample
-    with gamma = nan when degenerate_ok is set.
+    The 1x1 case of cross_section_grid.  Requires 0 < theta < pi (the
+    angular derivative is not modelled at the forward/backward axis).  When
+    the radial scattered current is below the underflow guard the tilt is
+    undefined: raises, or returns a zero sample with gamma = nan when
+    degenerate_ok is set.
     """
     if config.n < 2:
         raise WrongDimensionError("current tilt needs a continuous angle; n >= 2")
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
-    n, k = config.n, config.k
-    psi, dpsi_r, dpsi_t = _scattered_point(config, shifts, r, theta)
-    jr = float(np.imag(np.conj(psi) * dpsi_r))
-    jt = float(np.imag(np.conj(psi) * dpsi_t)) / r
-    guard = config.series.underflow_guard
-    if abs(jr) <= guard:
-        if degenerate_ok:
-            return CrossSectionSample(r, theta, 0.0, jr, jt, float("nan"))
+    g = cross_section_grid(config, shifts, [r], [theta])
+    values = (g.dsigma_domega, g.jr_sc, g.jtheta_sc, g.gamma)
+    sample = CrossSectionSample(float(r), float(theta), *(float(v[0, 0]) for v in values))
+    if abs(sample.jr_sc) <= config.series.underflow_guard and not degenerate_ok:
         raise DegenerateCurrentError(
-            f"radial scattered current {jr} below guard at r={r}, theta={theta}"
+            f"radial scattered current {sample.jr_sc} below guard at r={r}, theta={theta}"
         )
-    gamma = math.atan2(jt, jr)
-    dsig = (jr / k) * (1.0 + (jt / jr) ** 2) * r ** (n - 1)
-    return CrossSectionSample(r, theta, dsig, jr, jt, gamma)
+    return sample
 
 
 def dsigma_from_cos_gamma(config: ScatterConfig, sample: CrossSectionSample) -> float:
@@ -367,14 +380,13 @@ def f_theta_asymptotic(
     """
     if config.n < 2:
         raise WrongDimensionError("asymptotic amplitude defined for n >= 2")
-    k = config.k
-    acc = 0.0 + 0.0j
-    for l in range(shifts.lmax + 1):
-        av = a_l(config, shifts, l, theta)
-        if av == 0.0:
-            continue
-        acc += av * cmath.exp(-0.5j * math.pi * (l + (config.n - 1) / 2.0))
-    return AsymptoticAmplitude(theta=float(theta), f=acc / k)
+    n, k = config.n, config.k
+    lmax = shifts.lmax
+    sc = _coef_vector(n, k, lmax) * (shifts.phase_factors(lmax) - 1.0)
+    # (-i)^(l + (n-1)/2) = i^(-l) exactly, times one common phase
+    far = _I_POWERS[-np.arange(lmax + 1) % 4] * cmath.exp(-0.25j * math.pi * (n - 1))
+    ang = angular_table(n, lmax, np.array([float(theta)]))[:, 0]
+    return AsymptoticAmplitude(theta=float(theta), f=complex(np.dot(sc * far, ang)) / k)
 
 
 def sigma_total_mode_terms(config: ScatterConfig, shifts: PhaseShiftSet) -> np.ndarray:
