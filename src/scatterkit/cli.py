@@ -320,7 +320,8 @@ def _add_common(p: argparse.ArgumentParser, grids: bool = True) -> None:
                    help="series tolerance (env SCATTERKIT_RTOL overrides default)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--jobs", type=int, default=os.cpu_count(),
-                   help="threads for the per-radius Bessel evaluation of a wavefield")
+                   help="threads for the per-radius Bessel evaluation of a wavefield "
+                        "(no faster than 1: the Bessel recurrences hold the GIL)")
     if grids:
         p.add_argument("--shifts", default=None, help="phase-shift JSON file")
         p.add_argument("--delta", default=None,

@@ -181,7 +181,7 @@ def _coef_vector(n: int, k: float, lmax: int) -> np.ndarray:
     if n == 2:
         # degeneracy weight Deg(l): 1 for l = 0, else 2
         return 0.5 * math.sqrt(2.0 * k / math.pi) * np.where(ls == 0, 1, 2) * il
-    pref = cmath.exp(specfun.gamma_ln(n / 2.0 - 1.0)).real / (
+    pref = math.gamma(n / 2.0 - 1.0) / (
         math.sqrt(math.pi) * (k / 2.0) ** ((n - 3) / 2.0)
     )
     return 0.5 * pref * (2 * ls + n - 2) * il
@@ -269,7 +269,8 @@ def plane_wave(config: ScatterConfig, r: float, theta: float) -> complex:
     """Partial sum of the n-dimensional plane-wave expansion of e^{ikr cos theta}.
 
     Uses the j_nu radial basis directly, so it is an independent float path
-    from the Hankel half-sum in psi_incident.
+    from the Hankel half-sum in psi_incident (both take J from the same
+    recurrence in l; the scalar scipy route is the kernels' oracle).
     """
     if not r > 0:
         raise DomainError(f"radius must be > 0, got r={r}")
@@ -338,10 +339,11 @@ def evaluate_grid(
     psi_in is the half-sum C_l [h2 + h1] over l <= incident_lmax(r), psi_sc
     the outgoing-only sum C_l (e^{2i delta_l} - 1) h1 over every stored
     shift, and psi = psi_in + psi_sc.  Coefficients and angular table are
-    built once per grid, the Hankel basis once per radius (on `jobs`
-    threads if jobs > 1: scipy's Bessel kernels release the GIL).  Points
-    are summed in ascending l, so a grid value equals the 1x1 evaluation
-    bit for bit, for any `jobs`.
+    built once per grid, the Hankel basis once per radius.  `jobs` > 1 maps
+    the radii over a thread pool, which no longer shortens a run: the basis
+    recurrences are Python loops that hold the GIL.  Points are summed in
+    ascending l, so a grid value equals the 1x1 evaluation bit for bit, for
+    any `jobs`.
     """
     r, theta = _grid_axes(r_values, theta_values)
     n, k = config.n, config.k

@@ -13,9 +13,16 @@ kept side by side:
   infinite logarithmic series for half-integer nu;
 
 * route B goes through ordinary Bessel functions J, Y of order nu + 1/2.
+  The scalar `spherical_hankel` takes them from scipy's jv/yv at the one
+  order; the vectorised `hankel_basis` and `spherical_jn_basis` build all
+  orders l = 0..lmax by the three-term recurrence in l from scipy seeds
+  (Y upward from l = 0, 1; J downward from above the turning point l ~ z,
+  rescaled to the exact Wronskian), one scipy call per seed pair instead
+  of one per order.
 
-The two routes are compared against each other in the test suite; production
-field assembly uses route B, which is fast and uniformly accurate.
+The two routes are compared against each other in the test suite, and the
+recurrences against the per-order scalar route; production field assembly
+uses the recurrences, which are fast and uniformly accurate.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -538,27 +545,111 @@ def spherical_bessel_j(
 # --------------------------------------------------------------------------
 
 
+# Seed order of the downward J recurrence: a margin above the turning point
+# l ~ z, far enough into the decaying region that the seeds' errors add
+# almost no Y to the run.  Above z = cap the recurrence would cost O(z) steps
+# for any lmax, so there every order comes straight from jv.
+_SEED_MARGIN = 20
+_SEED_CAP = 8192
+# Smallest |J| accepted as a seed: a normal float with room to spare.
+_SEED_FLOOR = 1e-280
+
+
+def _basis_prefactor(z: float) -> float:
+    """sqrt(pi / 2z) for a basis at argument z; rejects z it cannot serve."""
+    if not (z > 0 and math.isfinite(z)):
+        raise DomainError(f"argument must be real, finite and > 0, got z={z}")
+    pref = math.sqrt(math.pi / (2.0 * z))
+    if math.isinf(pref):
+        raise OverflowGuardError(f"sqrt(pi/2z) overflows at z={z}")
+    return pref
+
+
+def _recurrence_coefs(mu0: float, lo: int, hi: int, z: float) -> list[float]:
+    """2 mu_l / z for l = lo..hi-1, mu_l = l + mu0; each entry depends on l only."""
+    with np.errstate(over="ignore"):  # an inf here surfaces as an overflowing Y
+        return (2.0 * (np.arange(lo, hi) + mu0) / z).tolist()
+
+
+def _seed_order(mu0: float, z: float) -> int:
+    """Seed l of the downward J_{l+mu0}(z) recurrence, a function of (mu0, z) only.
+
+    ceil(z) + margin, lowered while J there is not a normal float (tiny z),
+    so the recurrence never starts from an underflowed zero; 1 (no
+    recurrence steps) above z = cap.
+    """
+    if z > _SEED_CAP:
+        return 1
+    s = math.ceil(z) + _SEED_MARGIN
+    while s > 1 and abs(jv(s + mu0, z)) < _SEED_FLOOR:
+        s -= 1
+    return s
+
+
+def _scaled_y_seeds(mu0: float, z: float, pref: float) -> tuple[float, float]:
+    """pref * Y at l = 0, 1 as Python floats, whose overflow is a silent inf."""
+    y0, y1 = yv((mu0, mu0 + 1.0), z)
+    return pref * float(y0), pref * float(y1)
+
+
+def _scaled_j(mu0: float, lmax: int, z: float, pref: float, y0: float, y1: float) -> np.ndarray:
+    """pref * J_{l+mu0}(z) for l = 0..lmax, given y0, y1 from `_scaled_y_seeds`.
+
+    Downward from scipy's jv at the seed pair s-1, s of `_seed_order` by
+    J_{l-1} = (2 mu_l / z) J_l - J_{l+1}, the stable direction (J decays
+    with l past the turning point); orders above s come from the same
+    vectorised jv call as the seeds.  All of it is then rescaled so that the
+    Wronskian j_1 y_0 - j_0 y_1 = 1/z^2 holds exactly, which removes the
+    seeds' own scale error (scipy's jv is least accurate deep in the
+    decaying region); where y_1 overflows it is left as seeded.
+    """
+    s = _seed_order(mu0, z)
+    top = pref * jv(np.arange(s - 1, max(s, lmax) + 1) + mu0, z)  # orders s-1..
+    a, b = float(top[1]), float(top[0])
+    out = [b]
+    append = out.append
+    for c in reversed(_recurrence_coefs(mu0, 1, s, z)):
+        a, b = b, c * b - a
+        append(b)
+    out.reverse()  # orders 0..s-1
+    j = np.concatenate((out, top[1:]))[: lmax + 1]
+    if s > 1:
+        w = z * z * (out[1] * y0 - out[0] * y1)
+        if math.isfinite(w) and w != 0.0:
+            j /= w
+    return j
+
+
 def hankel_basis(n: int, lmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     """(h^(2), h^(1)) at orders nu_l = l + (n-3)/2 for l = 0..lmax (route B).
 
-    Returns two complex arrays of length lmax+1.
+    With mu_l = nu_l + 1/2, h_l = sqrt(pi/2z) (J_mu_l(z) +- i Y_mu_l(z)).  J
+    comes from `_scaled_j`; Y runs upward from scipy's yv at l = 0, 1 by
+    Y_{l+1} = (2 mu_l / z) Y_l - Y_{l-1}, the stable direction (Y grows with
+    l).  Every entry depends on (n, l, z) only, never on lmax.  Returns two
+    complex arrays of length lmax+1; raises OverflowGuardError where Y
+    overflows.
     """
-    if not (z > 0 and math.isfinite(z)):
-        raise DomainError(f"argument must be real, finite and > 0, got z={z}")
-    orders = np.arange(lmax + 1) + (n - 2) / 2.0  # nu_l + 1/2
-    pref = math.sqrt(math.pi / (2.0 * z))
-    jj = jv(orders, z)
-    yy = yv(orders, z)
-    h1 = pref * (jj + 1j * yy)
-    h2 = pref * (jj - 1j * yy)
+    pref = _basis_prefactor(z)
+    mu0 = (n - 2) / 2.0
+    y0, y1 = _scaled_y_seeds(mu0, z, pref)
+    # Python floats: an overflow becomes inf without a numpy warning
+    y = [y0, y1][: lmax + 1]
+    a, b = y[0], y[-1]
+    append = y.append
+    for c in _recurrence_coefs(mu0, 1, lmax, z):
+        a, b = b, c * b - a
+        append(b)
+    if not math.isfinite(y[-1]):  # |Y| grows with l: the last entry overflows first
+        raise OverflowGuardError(f"Hankel overflow for lmax={lmax}, n={n}, z={z}")
+    h1 = np.empty(lmax + 1, dtype=complex)
+    h1.real = _scaled_j(mu0, lmax, z, pref, y0, y1)
+    h1.imag = y
+    h2 = h1.conj()
     if n == 1:
         # l = 0 has nu = -1; pin the closed form used by the scalar route
-        h1 = h1.copy()
-        h2 = h2.copy()
         h1[0] = cmath.exp(1j * z) / z
         h2[0] = cmath.exp(-1j * z) / z
-    if not (np.all(np.isfinite(h1.view(float))) and np.all(np.isfinite(h2.view(float)))):
-        raise OverflowGuardError(f"Hankel overflow for lmax={lmax}, n={n}, z={z}")
     return h2, h1
 
 
@@ -572,14 +663,14 @@ def hankel_derivative(nu, h, h_next, z):
 
 
 def spherical_jn_basis(n: int, lmax: int, z: float) -> np.ndarray:
-    """j_nu at orders nu_l = l + (n-3)/2 for l = 0..lmax, real array."""
-    if not z > 0:
-        raise DomainError(f"argument must be real and > 0, got z={z}")
-    orders = np.arange(lmax + 1) + (n - 2) / 2.0
-    out = math.sqrt(math.pi / (2.0 * z)) * jv(orders, z)
+    """j_nu at orders nu_l = l + (n-3)/2 for l = 0..lmax, real array.
+
+    The real part of `hankel_basis` (the same J recurrence), without its Y
+    half, so it stays finite where only y_nu overflows.
+    """
+    mu0 = (n - 2) / 2.0
+    pref = _basis_prefactor(z)
+    out = _scaled_j(mu0, lmax, z, pref, *_scaled_y_seeds(mu0, z, pref))
     if n == 1:
-        out = out.copy()
         out[0] = math.cos(z) / z  # j_{-1}
-    if not np.all(np.isfinite(out)):
-        raise OverflowGuardError(f"j_nu overflow for lmax={lmax}, n={n}, z={z}")
     return out

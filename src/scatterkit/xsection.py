@@ -131,30 +131,46 @@ def _angular_derivative_table(n: int, lmax: int, theta: np.ndarray) -> np.ndarra
 # --------------------------------------------------------------------------
 
 
+def _wronskian_factors(config: ScatterConfig, lmax: int, r: float) -> tuple[list, ...]:
+    """h2/r^s, h1/r^s and their r-derivatives for l = 0..lmax, s = (n-3)/2.
+
+    One `hankel_basis` call; its entries do not depend on lmax, so every
+    Wronskian taken from these factors equals the per-pair value bit for bit.
+    """
+    if not r > 0:
+        raise DomainError(f"radius must be > 0, got r={r}")
+    n, k = config.n, config.k
+    z = k * r
+    s = (n - 3) / 2.0
+    rs = r**s
+    h2, h1 = specfun.hankel_basis(n, lmax + 1, z)
+    nus = np.arange(lmax + 2) + s
+
+    def dscaled(h, idx):
+        dh = k * specfun.hankel_derivative(nus[idx], h[idx], h[idx + 1], z)
+        return dh / rs - s * h[idx] / (rs * r)
+
+    ls = range(lmax + 1)
+    return (
+        [h2[l] / rs for l in ls],
+        [h1[l] / rs for l in ls],
+        [dscaled(h2, l) for l in ls],
+        [dscaled(h1, l) for l in ls],
+    )
+
+
+def _wronskian(factors: tuple[list, ...], l: int, lp: int) -> complex:
+    s2, s1, d2, d1 = factors
+    return s2[l] * d1[lp] - s1[lp] * d2[l]
+
+
 def wronskian_radial(config: ScatterConfig, l: int, lp: int, r: float) -> complex:
     """W_r[h2_nu(kr)/r^s, h1_nu'(kr)/r^s] with s = (n-3)/2, analytic derivatives.
 
     For l = lp the combination r^(n-1) W_r is the r-independent constant
     2i/k; unequal orders give genuinely r-dependent values.
     """
-    if not r > 0:
-        raise DomainError(f"radius must be > 0, got r={r}")
-    n, k = config.n, config.k
-    lmax = max(l, lp)
-    z = k * r
-    s = (n - 3) / 2.0
-    rs = r**s
-    h2, h1 = specfun.hankel_basis(n, lmax + 1, z)
-    nus = np.arange(lmax + 2) + (n - 3) / 2.0
-
-    def scaled(h, idx):
-        return h[idx] / rs
-
-    def dscaled(h, idx):
-        dh = k * specfun.hankel_derivative(nus[idx], h[idx], h[idx + 1], z)
-        return dh / rs - s * h[idx] / (rs * r)
-
-    return scaled(h2, l) * dscaled(h1, lp) - scaled(h1, lp) * dscaled(h2, l)
+    return _wronskian(_wronskian_factors(config, max(l, lp), r), l, lp)
 
 
 def dsigma_double_sum(
@@ -165,10 +181,12 @@ def dsigma_double_sum(
         r^(n-1)/(2ik) sum_{l,l'} a_l*(theta) a_l'(theta) W_r[...].
 
     The sum is real up to rounding; an imaginary residual above 1e-12 of the
-    magnitude raises instead of being silently discarded.
+    magnitude raises instead of being silently discarded.  Every W_r comes
+    from one radial basis.
     """
     n, k = config.n, config.k
     lmax = shifts.lmax
+    factors = _wronskian_factors(config, lmax, r)
     avals = np.array([a_l(config, shifts, l, theta) for l in range(lmax + 1)])
     acc = 0.0 + 0.0j
     for l in range(lmax + 1):
@@ -180,7 +198,7 @@ def dsigma_double_sum(
             acc += (
                 np.conj(avals[l])
                 * avals[lp]
-                * wronskian_radial(config, l, lp, r)
+                * _wronskian(factors, l, lp)
             )
     acc *= r ** (n - 1) / (2j * k)
     if abs(acc.imag) > 1e-12 * max(abs(acc), 1e-280):
@@ -332,8 +350,8 @@ def two_d_dsigma(
         raise DomainError("planar closed form assumes real phase shifts")
     k = config.k
     lmax = shifts.lmax
+    factors = _wronskian_factors(config, lmax, r)
     acc = 0.0 + 0.0j
-    wcache = {}
     for l in range(lmax + 1):
         fl = np.conj(shifts.phase_factor(l)) - 1.0
         if fl == 0.0:
@@ -342,8 +360,6 @@ def two_d_dsigma(
             flp = shifts.phase_factor(lp) - 1.0
             if flp == 0.0:
                 continue
-            if (l, lp) not in wcache:
-                wcache[(l, lp)] = wronskian_radial(config, l, lp, r)
             deg = (1 if l == 0 else 2) * (1 if lp == 0 else 2)
             acc += (
                 deg
@@ -353,7 +369,7 @@ def two_d_dsigma(
                 * flp
                 * math.cos(l * theta)
                 * math.cos(lp * theta)
-                * wcache[(l, lp)]
+                * _wronskian(factors, l, lp)
                 / (2j * k)
             )
     acc *= k * r / (2.0 * math.pi)
@@ -407,7 +423,7 @@ def sigma_total_mode_terms(config: ScatterConfig, shifts: PhaseShiftSet) -> np.n
     pref = (
         4.0
         * math.pi ** ((n - 1) / 2.0)
-        / cmath.exp(specfun.gamma_ln((n - 1) / 2.0)).real
+        / math.gamma((n - 1) / 2.0)
         * k ** (1 - n)
     )
     weights = np.array(
@@ -442,9 +458,7 @@ def angular_measure_integral(
         raise WrongDimensionError("angular integral defined for n >= 2")
     if nodes is None:
         nodes = 4 * lmax + 20
-    omega = 2.0 * math.pi ** ((n - 1) / 2.0) / cmath.exp(
-        specfun.gamma_ln((n - 1) / 2.0)
-    ).real
+    omega = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
     if n % 2 == 1:
         x, w = np.polynomial.legendre.leggauss(nodes)
         vals = np.array([fn(float(t)) for t in np.arccos(x)])

@@ -6,6 +6,7 @@ specials, and exact integer arithmetic for the polynomial identities.
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -25,9 +26,11 @@ from scatterkit.specfun import (
     digamma,
     gamma_ln,
     gegenbauer,
+    hankel_basis,
     pochhammer,
     spherical_bessel_j,
     spherical_hankel,
+    spherical_jn_basis,
     tricomi_u_integer_b,
 )
 
@@ -413,6 +416,110 @@ class TestSphericalBesselJ:
                     assert caly_from_hankel(o, z) == pytest.approx(
                         calY(o, 1j / z), rel=1e-10
                     )
+
+
+def per_order_hankel(n, lmax, z):
+    """(h2, h1) order by order from the scalar scipy route, up to the first
+    order where it overflows; the second value says whether it did."""
+    h2, h1 = [], []
+    for l in range(lmax + 1):
+        try:
+            h2.append(spherical_hankel(2, Order(l, n), z))
+            h1.append(spherical_hankel(1, Order(l, n), z))
+        except errors.OverflowGuardError:
+            return np.array(h2), np.array(h1[: len(h2)]), True
+    return np.array(h2), np.array(h1), False
+
+
+class TestHankelBasis:
+    """The l-recurrences of hankel_basis against independent oracles."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_per_order_route(self, n):
+        raised = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for z in np.logspace(-15, 3, 19):
+                z = float(z)
+                for lmax in (math.ceil(z) + 30, math.ceil(z) + 100):
+                    r2, r1, overflow = per_order_hankel(n, lmax, z)
+                    try:
+                        h2, h1 = hankel_basis(n, lmax, z)
+                    except errors.OverflowGuardError:
+                        assert overflow, (z, lmax)
+                        raised += 1
+                        continue
+                    m = len(r1)
+                    for got, ref in ((h1[:m], r1), (h2[:m], r2)):
+                        err = np.abs(got - ref)
+                        assert np.all(err <= 1e-12 * np.abs(ref)), (z, lmax, np.argmax(err / np.abs(ref)))
+                    # scipy's yv gives up a little before the float range ends
+                    assert np.all(np.abs(h1[m:]) > 1e300), (z, lmax)
+        assert raised > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("z", [1e-15, 1e-3, 0.7, 50.0, 1000.0, 2e4])
+    def test_entries_do_not_depend_on_lmax(self, n, z):
+        s = specfun._seed_order((n - 2) / 2.0, z)
+        bases = {}
+        for lmax in sorted({max(s - 5, 0), s - 1, s, s + 1, s + 2, s + 40, s + 90}):
+            try:
+                bases[lmax] = hankel_basis(n, lmax, z)
+            except errors.OverflowGuardError:
+                break
+        assert min(bases) < s < max(bases)
+        for l0 in bases:
+            for l1 in bases:
+                if l1 > l0:
+                    for i in (0, 1):
+                        assert np.array_equal(bases[l1][i][: l0 + 1], bases[l0][i])
+
+    def test_beyond_seed_cap_j_is_scipy(self):
+        # above the cap every J comes straight from jv; Y still recurs upward
+        z = 2e4
+        h2, h1 = hankel_basis(4, 40, z)
+        ref = np.array([spherical_hankel(1, Order(l, 4), z) for l in range(41)])
+        assert np.array_equal(h1.real, ref.real)
+        assert np.all(np.abs(h1 - ref) <= 1e-12 * np.abs(ref))
+
+    def test_tiny_argument_keeps_j(self):
+        # jv at the unlowered seed ceil(z) + 20 underflows to 0 here
+        h2, h1 = hankel_basis(3, 17, 1e-15)
+        assert abs(h1[0].real - 1.0) <= 1e-12
+        assert h2[0].real == h1[0].real
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_against_mpmath_at_kr_1000(self, n):
+        z = 1000.0
+        h2, h1 = hankel_basis(n, 1030, z)
+        with mp.workdps(40):
+            pref = mp.sqrt(mp.pi / (2 * mp.mpf(z)))
+            for l in (0, 1, 135, 262, 600, 990, 1010, 1030):
+                mu = l + mp.mpf(n - 2) / 2
+                ref = complex(pref * mp.besselj(mu, z), pref * mp.bessely(mu, z))
+                assert abs(h1[l] - ref) <= 3e-13 * abs(ref), l
+
+    def test_overflow_raises_without_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(errors.OverflowGuardError):
+                hankel_basis(3, 400, 1e-3)
+            for z in (1e-306, 1e-320):
+                with pytest.raises(errors.OverflowGuardError):
+                    hankel_basis(3, 5, z)
+            with pytest.raises(errors.OverflowGuardError):
+                spherical_jn_basis(3, 5, 1e-320)
+
+    def test_jn_basis_is_real_part_and_survives_y_overflow(self):
+        for n, z in ((2, 3.7), (3, 120.0), (8, 161.0)):
+            lmax = math.ceil(z) + 30
+            assert np.array_equal(spherical_jn_basis(n, lmax, z), hankel_basis(n, lmax, z)[1].real)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            jb = spherical_jn_basis(3, 60, 1e-3)
+        for l in (0, 1, 10, 30):
+            ref = spherical_bessel_j(Order(l, 3), 1e-3)
+            assert abs(jb[l] - ref) <= 1e-12 * abs(ref)
 
 
 class TestControlAndOrder:

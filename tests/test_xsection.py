@@ -4,14 +4,16 @@ and the large-distance limits."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from scatterkit import errors
-from scatterkit.partialwave import PhaseShiftSet, ScatterConfig
+from scatterkit.partialwave import PhaseShiftSet, ScatterConfig, a_l, mode_coefficient
 from scatterkit.xsection import (
     angular_measure_integral,
+    cross_section_grid,
     dsigma_double_sum,
     dsigma_from_cos_gamma,
     dsigma_full,
@@ -86,6 +88,41 @@ class TestLeadingForm:
                 a = dsigma_leading(cfg, shifts, r, th)
                 b = dsigma_double_sum(cfg, shifts, r, th)
                 assert abs(a - b) <= 1e-9 * max(abs(a), 1e-30)
+
+    def test_double_sum_is_per_pair_sum(self, rng):
+        # one radial basis per call gives every W_r[l, l'] bit for bit
+        for n in (2, 3, 4, 7):
+            cfg = ScatterConfig(n=n, k=1.3)
+            shifts = PhaseShiftSet.from_deltas([*rng.uniform(-1, 1, size=8), 0.0, 0.4])
+            r, th = rng.uniform(0.7, 15.0), rng.uniform(0.1, math.pi - 0.1)
+            avals = np.array([a_l(cfg, shifts, l, th) for l in range(shifts.lmax + 1)])
+            acc = 0.0 + 0.0j
+            for l in range(shifts.lmax + 1):
+                for lp in range(shifts.lmax + 1):
+                    if avals[l] != 0.0 and avals[lp] != 0.0:
+                        acc += np.conj(avals[l]) * avals[lp] * wronskian_radial(cfg, l, lp, r)
+            acc *= r ** (n - 1) / (2j * cfg.k)
+            assert dsigma_double_sum(cfg, shifts, r, th) == acc.real
+
+    def test_near_field_current_against_mpmath(self):
+        # j_r cancels about four digits at kr = 1, so a scale error in the
+        # radial J alone, not matched in Y, shows here
+        deltas, r, th = [0.5, -0.2], 1.0, 0.87
+        cfg = ScatterConfig(n=3, k=1.0)
+        grid = cross_section_grid(cfg, PhaseShiftSet.from_deltas(deltas), [r], [th])
+        with mp.workdps(40):
+            z = mp.mpf(r)
+
+            def h1(l):
+                return mp.sqrt(mp.pi / (2 * z)) * mp.mpc(mp.besselj(l + 0.5, z), mp.bessely(l + 0.5, z))
+
+            psi = dpsi = mp.mpc(0)
+            for l, d in enumerate(deltas):
+                c = mp.mpc(mode_coefficient(3, 1.0, l)) * (mp.exp(2j * d) - 1) * mp.legendre(l, mp.cos(th))
+                psi += c * h1(l)
+                dpsi += c * (l / z * h1(l) - h1(l + 1))
+            ref = float(mp.im(mp.conj(psi) * dpsi))
+        assert abs(grid.jr_sc[0, 0] - ref) <= 2e-13 * abs(ref)
 
     def test_one_dimensional_matches_closed_form(self):
         # at theta = 0 the current form equals sigma(0) from the closed 1D
