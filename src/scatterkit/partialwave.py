@@ -268,9 +268,9 @@ def _contract(radial: np.ndarray, ang: np.ndarray) -> np.ndarray:
 def plane_wave(config: ScatterConfig, r: float, theta: float) -> complex:
     """Partial sum of the n-dimensional plane-wave expansion of e^{ikr cos theta}.
 
-    Uses the j_nu radial basis directly, so it is an independent float path
-    from the Hankel half-sum in psi_incident (both take J from the same
-    recurrence in l; the scalar scipy route is the kernels' oracle).
+    Uses the j_nu radial basis of `specfun.spherical_jn_basis` (one Miller
+    run over every order), so it is an independent float path from the
+    Hankel half-sum in psi_incident, whose J runs upward over the low orders.
     """
     if not r > 0:
         raise DomainError(f"radius must be > 0, got r={r}")

@@ -14,15 +14,16 @@ kept side by side:
 
 * route B goes through ordinary Bessel functions J, Y of order nu + 1/2.
   The scalar `spherical_hankel` takes them from scipy's jv/yv at the one
-  order; the vectorised `hankel_basis` and `spherical_jn_basis` build all
-  orders l = 0..lmax by the three-term recurrence in l from scipy seeds
-  (Y upward from l = 0, 1; J downward from above the turning point l ~ z,
-  rescaled to the exact Wronskian), one scipy call per seed pair instead
-  of one per order.
+  order; the vectorised `hankel_basis` builds all orders l = 0..lmax by
+  the three-term recurrence in l from scipy seeds (Y upward from l = 0, 1;
+  J upward from l = 0, 1 through l ~ z/2 and downward from above the
+  turning point l ~ z, joined by the exact Wronskian), one scipy call per
+  seed pair instead of one per order.  `spherical_jn_basis` (the
+  `plane_wave` oracle) takes J from one downward run over every order.
 
 The two routes are compared against each other in the test suite, and the
-recurrences against the per-order scalar route; production field assembly
-uses the recurrences, which are fast and uniformly accurate.
+recurrences against the per-order scalar route and mpmath; production field
+assembly uses the recurrences, which are fast and uniformly accurate.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -545,12 +546,10 @@ def spherical_bessel_j(
 # --------------------------------------------------------------------------
 
 
-# Seed order of the downward J recurrence: a margin above the turning point
-# l ~ z, far enough into the decaying region that the seeds' errors add
-# almost no Y to the run.  Above z = cap the recurrence would cost O(z) steps
-# for any lmax, so there every order comes straight from jv.
+# Seed order of the downward J run: a margin above the turning point l ~ z,
+# far enough into the decaying region that the seeds' errors add almost no
+# Y to the run.
 _SEED_MARGIN = 20
-_SEED_CAP = 8192
 # Smallest |J| accepted as a seed: a normal float with room to spare.
 _SEED_FLOOR = 1e-280
 
@@ -571,79 +570,77 @@ def _recurrence_coefs(mu0: float, lo: int, hi: int, z: float) -> list[float]:
         return (2.0 * (np.arange(lo, hi) + mu0) / z).tolist()
 
 
-def _seed_order(mu0: float, z: float) -> int:
-    """Seed l of the downward J_{l+mu0}(z) recurrence, a function of (mu0, z) only.
+def _upward(f0: float, f1: float, coefs: list[float], lmax: int) -> list[float]:
+    """f_0..f_lmax of f_{l+1} = c_l f_l - f_{l-1}; coefs[i] = c_{i+1}.
 
-    ceil(z) + margin, lowered while J there is not a normal float (tiny z),
-    so the recurrence never starts from an underflowed zero; 1 (no
-    recurrence steps) above z = cap.
+    Python floats, so an overflow becomes inf without a numpy warning.
     """
-    if z > _SEED_CAP:
-        return 1
+    out = [f0, f1][: lmax + 1]
+    a, b = out[0], out[-1]
+    append = out.append
+    for c in coefs[: max(lmax - 1, 0)]:
+        a, b = b, c * b - a
+        append(b)
+    return out
+
+
+def _downward_j(mu0: float, lo: int, hi: int, z: float) -> np.ndarray:
+    """J_{l+mu0}(z) for l = lo..hi by Miller's downward recurrence.
+
+    J_{l-1} = (2 mu_l / z) J_l - J_{l+1} is the stable direction past the
+    turning point (J decays with l) and neutral below it.  The run starts
+    from scipy's jv at the pair s-1, s with s = ceil(z) + margin, lowered
+    while J there is not a normal float (tiny z; at s = lo + 1 every order
+    comes straight from jv); orders above s come from the same vectorised jv
+    call.  s depends on (mu0, lo, z) only, never on hi.
+    """
     s = math.ceil(z) + _SEED_MARGIN
-    while s > 1 and abs(jv(s + mu0, z)) < _SEED_FLOOR:
+    while s > lo + 1 and abs(jv(s + mu0, z)) < _SEED_FLOOR:
         s -= 1
-    return s
-
-
-def _scaled_y_seeds(mu0: float, z: float, pref: float) -> tuple[float, float]:
-    """pref * Y at l = 0, 1 as Python floats, whose overflow is a silent inf."""
-    y0, y1 = yv((mu0, mu0 + 1.0), z)
-    return pref * float(y0), pref * float(y1)
-
-
-def _scaled_j(mu0: float, lmax: int, z: float, pref: float, y0: float, y1: float) -> np.ndarray:
-    """pref * J_{l+mu0}(z) for l = 0..lmax, given y0, y1 from `_scaled_y_seeds`.
-
-    Downward from scipy's jv at the seed pair s-1, s of `_seed_order` by
-    J_{l-1} = (2 mu_l / z) J_l - J_{l+1}, the stable direction (J decays
-    with l past the turning point); orders above s come from the same
-    vectorised jv call as the seeds.  All of it is then rescaled so that the
-    Wronskian j_1 y_0 - j_0 y_1 = 1/z^2 holds exactly, which removes the
-    seeds' own scale error (scipy's jv is least accurate deep in the
-    decaying region); where y_1 overflows it is left as seeded.
-    """
-    s = _seed_order(mu0, z)
-    top = pref * jv(np.arange(s - 1, max(s, lmax) + 1) + mu0, z)  # orders s-1..
+    top = jv(np.arange(s - 1, max(s, hi) + 1) + mu0, z)  # orders s-1..
     a, b = float(top[1]), float(top[0])
     out = [b]
     append = out.append
-    for c in reversed(_recurrence_coefs(mu0, 1, s, z)):
+    for c in reversed(_recurrence_coefs(mu0, lo + 1, s, z)):
         a, b = b, c * b - a
         append(b)
-    out.reverse()  # orders 0..s-1
-    j = np.concatenate((out, top[1:]))[: lmax + 1]
-    if s > 1:
-        w = z * z * (out[1] * y0 - out[0] * y1)
-        if math.isfinite(w) and w != 0.0:
-            j /= w
-    return j
+    out.reverse()  # orders lo..s-1
+    return np.concatenate((out, top[1:]))[: hi - lo + 1]
 
 
 def hankel_basis(n: int, lmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     """(h^(2), h^(1)) at orders nu_l = l + (n-3)/2 for l = 0..lmax (route B).
 
-    With mu_l = nu_l + 1/2, h_l = sqrt(pi/2z) (J_mu_l(z) +- i Y_mu_l(z)).  J
-    comes from `_scaled_j`; Y runs upward from scipy's yv at l = 0, 1 by
-    Y_{l+1} = (2 mu_l / z) Y_l - Y_{l-1}, the stable direction (Y grows with
-    l).  Every entry depends on (n, l, z) only, never on lmax.  Returns two
-    complex arrays of length lmax+1; raises OverflowGuardError where Y
-    overflows.
+    With mu_l = nu_l + 1/2, h_l = sqrt(pi/2z) (J_mu_l(z) +- i Y_mu_l(z)).
+    Y runs upward from scipy's yv at l = 0, 1 by Y_{l+1} = (2 mu_l / z) Y_l
+    - Y_{l-1}, the stable direction (Y grows with l).  J runs upward the
+    same way from jv at l = 0, 1, but only through the orders mu_l <= z/2,
+    well inside the oscillatory region where both directions are stable:
+    rounding that accumulates upward then stays in the low orders, whose
+    partial-wave weights are small.  Orders above come from `_downward_j`,
+    rescaled so that the Wronskian j_{m+1} y_m - j_m y_{m+1} = 1/z^2 holds
+    exactly at the junction m, which removes the seeds' own scale error
+    (scipy's jv is least accurate deep in the decaying region).  The
+    downward run is ~z/2 + margin steps and runs only for lmax > m, so the
+    cost is O(lmax); every entry depends on (n, l, z) only, never on lmax.
+    Returns two complex arrays of length lmax+1; raises OverflowGuardError
+    where Y overflows.
     """
     pref = _basis_prefactor(z)
     mu0 = (n - 2) / 2.0
-    y0, y1 = _scaled_y_seeds(mu0, z, pref)
-    # Python floats: an overflow becomes inf without a numpy warning
-    y = [y0, y1][: lmax + 1]
-    a, b = y[0], y[-1]
-    append = y.append
-    for c in _recurrence_coefs(mu0, 1, lmax, z):
-        a, b = b, c * b - a
-        append(b)
+    coefs = _recurrence_coefs(mu0, 1, lmax, z)
+    y0, y1 = (pref * float(v) for v in yv((mu0, mu0 + 1.0), z))
+    y = _upward(y0, y1, coefs, lmax)
     if not math.isfinite(y[-1]):  # |Y| grows with l: the last entry overflows first
         raise OverflowGuardError(f"Hankel overflow for lmax={lmax}, n={n}, z={z}")
+    m = max(math.floor(z / 2.0 - mu0), 0)  # last order whose J runs upward
+    j0, j1 = (pref * float(v) for v in jv((mu0, mu0 + 1.0), z))
     h1 = np.empty(lmax + 1, dtype=complex)
-    h1.real = _scaled_j(mu0, lmax, z, pref, y0, y1)
+    h1.real[: m + 1] = _upward(j0, j1, coefs, min(m, lmax))
+    if lmax > m:
+        j = pref * _downward_j(mu0, m, lmax, z)  # orders m..lmax
+        w = (z * float(j[1])) * (z * y[m]) - (z * float(j[0])) * (z * y[m + 1])
+        h1.real[m + 1 :] = j[1:] / w
     h1.imag = y
     h2 = h1.conj()
     if n == 1:
@@ -665,12 +662,13 @@ def hankel_derivative(nu, h, h_next, z):
 def spherical_jn_basis(n: int, lmax: int, z: float) -> np.ndarray:
     """j_nu at orders nu_l = l + (n-3)/2 for l = 0..lmax, real array.
 
-    The real part of `hankel_basis` (the same J recurrence), without its Y
-    half, so it stays finite where only y_nu overflows.
+    The `plane_wave` oracle: one Miller run (`_downward_j`) from above the
+    turning point down to l = 0, seeded by jv and not rescaled, with no Y.
+    Below l ~ z/2, where `hankel_basis` runs J upward, the two paths are
+    independent; above it both take the same downward run, which
+    `hankel_basis` rescales at the junction.
     """
-    mu0 = (n - 2) / 2.0
-    pref = _basis_prefactor(z)
-    out = _scaled_j(mu0, lmax, z, pref, *_scaled_y_seeds(mu0, z, pref))
+    out = _basis_prefactor(z) * _downward_j((n - 2) / 2.0, 0, lmax, z)
     if n == 1:
         out[0] = math.cos(z) / z  # j_{-1}
     return out

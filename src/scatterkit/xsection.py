@@ -131,37 +131,32 @@ def _angular_derivative_table(n: int, lmax: int, theta: np.ndarray) -> np.ndarra
 # --------------------------------------------------------------------------
 
 
-def _wronskian_factors(config: ScatterConfig, lmax: int, r: float) -> tuple[list, ...]:
-    """h2/r^s, h1/r^s and their r-derivatives for l = 0..lmax, s = (n-3)/2.
+def _radial_and_derivative(n: int, k: float, h: np.ndarray, r):
+    """h_nu(kr)/r^s and its r-derivative for l = 0..len(h)-2, s = (n-3)/2.
+
+    h holds orders l = 0..lmax+1 along its first axis (the extra order feeds
+    `hankel_derivative`); r is a scalar or broadcasts against h[:-1].
+    """
+    s = (n - 3) / 2.0
+    nus = (np.arange(h.shape[0] - 1) + s).reshape((-1,) + (1,) * (h.ndim - 1))
+    dh = k * specfun.hankel_derivative(nus, h[:-1], h[1:], k * r)
+    rs = r**s
+    return h[:-1] / rs, dh / rs - s * h[:-1] / (rs * r)
+
+
+def _wronskian_matrix(config: ScatterConfig, lmax: int, r: float) -> np.ndarray:
+    """W_r[h2_nu(kr)/r^s, h1_nu'(kr)/r^s] for l, l' = 0..lmax, indexed [l, l'].
 
     One `hankel_basis` call; its entries do not depend on lmax, so every
-    Wronskian taken from these factors equals the per-pair value bit for bit.
+    entry equals the per-pair value of `wronskian_radial` bit for bit.
     """
     if not r > 0:
         raise DomainError(f"radius must be > 0, got r={r}")
     n, k = config.n, config.k
-    z = k * r
-    s = (n - 3) / 2.0
-    rs = r**s
-    h2, h1 = specfun.hankel_basis(n, lmax + 1, z)
-    nus = np.arange(lmax + 2) + s
-
-    def dscaled(h, idx):
-        dh = k * specfun.hankel_derivative(nus[idx], h[idx], h[idx + 1], z)
-        return dh / rs - s * h[idx] / (rs * r)
-
-    ls = range(lmax + 1)
-    return (
-        [h2[l] / rs for l in ls],
-        [h1[l] / rs for l in ls],
-        [dscaled(h2, l) for l in ls],
-        [dscaled(h1, l) for l in ls],
-    )
-
-
-def _wronskian(factors: tuple[list, ...], l: int, lp: int) -> complex:
-    s2, s1, d2, d1 = factors
-    return s2[l] * d1[lp] - s1[lp] * d2[l]
+    h2, h1 = specfun.hankel_basis(n, lmax + 1, k * r)
+    f2, d2 = _radial_and_derivative(n, k, h2, r)
+    f1, d1 = _radial_and_derivative(n, k, h1, r)
+    return f2[:, None] * d1[None, :] - f1[None, :] * d2[:, None]
 
 
 def wronskian_radial(config: ScatterConfig, l: int, lp: int, r: float) -> complex:
@@ -170,7 +165,7 @@ def wronskian_radial(config: ScatterConfig, l: int, lp: int, r: float) -> comple
     For l = lp the combination r^(n-1) W_r is the r-independent constant
     2i/k; unequal orders give genuinely r-dependent values.
     """
-    return _wronskian(_wronskian_factors(config, max(l, lp), r), l, lp)
+    return _wronskian_matrix(config, max(l, lp), r)[l, lp]
 
 
 def dsigma_double_sum(
@@ -186,7 +181,7 @@ def dsigma_double_sum(
     """
     n, k = config.n, config.k
     lmax = shifts.lmax
-    factors = _wronskian_factors(config, lmax, r)
+    wr = _wronskian_matrix(config, lmax, r)
     avals = np.array([a_l(config, shifts, l, theta) for l in range(lmax + 1)])
     acc = 0.0 + 0.0j
     for l in range(lmax + 1):
@@ -195,11 +190,7 @@ def dsigma_double_sum(
         for lp in range(lmax + 1):
             if avals[lp] == 0.0:
                 continue
-            acc += (
-                np.conj(avals[l])
-                * avals[lp]
-                * _wronskian(factors, l, lp)
-            )
+            acc += np.conj(avals[l]) * avals[lp] * wr[l, lp]
     acc *= r ** (n - 1) / (2j * k)
     if abs(acc.imag) > 1e-12 * max(abs(acc), 1e-280):
         raise ConsistencyError(
@@ -228,16 +219,11 @@ def cross_section_grid(
     r, theta = _grid_axes(r_values, theta_values)
     n, k = config.n, config.k
     lmax = shifts.lmax
-    s = (n - 3) / 2.0
     sc = _coef_vector(n, k, lmax) * (shifts.phase_factors(lmax) - 1.0)
     h1 = np.array([specfun.hankel_basis(n, lmax + 1, k * rv)[1] for rv in r], dtype=complex)
-    h1 = h1.reshape(r.size, lmax + 2).T
-    nus = np.arange(lmax + 1)[:, None] + s
-    dh1 = k * specfun.hankel_derivative(nus, h1[:-1], h1[1:], k * r)
-    h1 = h1[:-1]
-    rs = r**s
-    radial = sc[:, None] * (h1 / rs)
-    dradial = sc[:, None] * (dh1 / rs - s * h1 / (rs * r))
+    f1, d1 = _radial_and_derivative(n, k, h1.reshape(r.size, lmax + 2).T, r)
+    radial = sc[:, None] * f1
+    dradial = sc[:, None] * d1
     ang = angular_table(n, lmax, theta)
     psi = _contract(radial, ang)
     jr = np.imag(np.conj(psi) * _contract(dradial, ang))
@@ -350,7 +336,7 @@ def two_d_dsigma(
         raise DomainError("planar closed form assumes real phase shifts")
     k = config.k
     lmax = shifts.lmax
-    factors = _wronskian_factors(config, lmax, r)
+    wr = _wronskian_matrix(config, lmax, r)
     acc = 0.0 + 0.0j
     for l in range(lmax + 1):
         fl = np.conj(shifts.phase_factor(l)) - 1.0
@@ -369,7 +355,7 @@ def two_d_dsigma(
                 * flp
                 * math.cos(l * theta)
                 * math.cos(lp * theta)
-                * _wronskian(factors, l, lp)
+                * wr[l, lp]
                 / (2j * k)
             )
     acc *= k * r / (2.0 * math.pi)

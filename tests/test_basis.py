@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,9 @@ from scatterkit.cli import main
 from scatterkit.partialwave import (
     PhaseShiftSet,
     ScatterConfig,
+    _coef_vector,
     a_l,
+    angular_table,
     evaluate_grid,
     plane_wave,
     psi_incident,
@@ -103,6 +106,27 @@ class TestSinglePath:
         size = sum(abs(t) for t in terms) / k
         f = f_theta_asymptotic(cfg, shifts, theta).f
         assert abs(f - sum(terms) / k) <= 1e-13 * max(size, 1e-300)
+
+
+class TestIncidentAccuracy:
+    def test_theta_zero_high_dimension_against_mpmath(self):
+        # at theta = 0 in n = 8 the weights C_l(1) ~ l^5 make the truncated
+        # series cancel six digits, so radial J errors near the turning
+        # point show; the reference sums the same truncated series with
+        # 30-digit J and the same float coefficients and angular values
+        cfg, r = ScatterConfig(n=8, k=1.0), 199.5
+        lmax = cfg.incident_lmax(r)
+        coefs = _coef_vector(8, 1.0, lmax)
+        ang = angular_table(8, lmax, np.float64(0.0))
+        with mp.workdps(30):
+            z = mp.mpf(r)
+            pref = mp.sqrt(mp.pi / (2 * z))
+            ref = mp.fsum(
+                2 * mp.mpc(complex(coefs[l])) * pref * mp.besselj(l + 3, z) * mp.mpf(float(ang[l]))
+                for l in range(lmax + 1)
+            ) / z**2.5
+        assert abs(psi_incident(cfg, r, 0.0) - complex(ref)) <= 2e-10
+        assert abs(plane_wave(cfg, r, 0.0) - complex(ref)) <= 2e-10
 
 
 class TestShiftsAboveIncidentLmax:

@@ -460,27 +460,33 @@ class TestHankelBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("z", [1e-15, 1e-3, 0.7, 50.0, 1000.0, 2e4])
     def test_entries_do_not_depend_on_lmax(self, n, z):
-        s = specfun._seed_order((n - 2) / 2.0, z)
+        # lmax on both sides of the junction m (last upward J) and of the
+        # seed s of the downward run
+        m = max(math.floor(z / 2.0 - (n - 2) / 2.0), 0)
+        s = math.ceil(z) + specfun._SEED_MARGIN
+        cuts = {0, 1, m - 1, m, m + 1, m + 2, s - 1, s, s + 1, s + 40, s + 90}
         bases = {}
-        for lmax in sorted({max(s - 5, 0), s - 1, s, s + 1, s + 2, s + 40, s + 90}):
+        for lmax in sorted(c for c in cuts if c >= 0):
             try:
                 bases[lmax] = hankel_basis(n, lmax, z)
             except errors.OverflowGuardError:
                 break
-        assert min(bases) < s < max(bases)
+        assert max(bases) > m + 1
         for l0 in bases:
             for l1 in bases:
                 if l1 > l0:
                     for i in (0, 1):
                         assert np.array_equal(bases[l1][i][: l0 + 1], bases[l0][i])
 
-    def test_beyond_seed_cap_j_is_scipy(self):
-        # above the cap every J comes straight from jv; Y still recurs upward
-        z = 2e4
-        h2, h1 = hankel_basis(4, 40, z)
-        ref = np.array([spherical_hankel(1, Order(l, 4), z) for l in range(41)])
-        assert np.array_equal(h1.real, ref.real)
-        assert np.all(np.abs(h1 - ref) <= 1e-12 * np.abs(ref))
+    @pytest.mark.parametrize("z", [8000.0, 2e4])
+    def test_large_argument_few_orders_against_mpmath(self, z):
+        # lmax far below z: every J comes from the upward run
+        h2, h1 = hankel_basis(4, 17, z)
+        with mp.workdps(30):
+            pref = mp.sqrt(mp.pi / (2 * mp.mpf(z)))
+            for l in range(18):
+                ref = complex(pref * mp.besselj(l + 1, z), pref * mp.bessely(l + 1, z))
+                assert abs(h1[l] - ref) <= 1e-14 * abs(ref), l
 
     def test_tiny_argument_keeps_j(self):
         # jv at the unlowered seed ceil(z) + 20 underflows to 0 here
@@ -510,10 +516,14 @@ class TestHankelBasis:
             with pytest.raises(errors.OverflowGuardError):
                 spherical_jn_basis(3, 5, 1e-320)
 
-    def test_jn_basis_is_real_part_and_survives_y_overflow(self):
-        for n, z in ((2, 3.7), (3, 120.0), (8, 161.0)):
+    def test_jn_basis_matches_hankel_basis_and_survives_y_overflow(self):
+        # two independent J paths: one Miller run versus the upward run
+        # joined to a rescaled downward one
+        for n, z in ((2, 3.7), (3, 120.0), (8, 161.0), (5, 1000.0)):
             lmax = math.ceil(z) + 30
-            assert np.array_equal(spherical_jn_basis(n, lmax, z), hankel_basis(n, lmax, z)[1].real)
+            jb = spherical_jn_basis(n, lmax, z)
+            h2, h1 = hankel_basis(n, lmax, z)
+            assert np.all(np.abs(jb - h1.real) <= 1e-13 * np.abs(h1)), (n, z)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             jb = spherical_jn_basis(3, 60, 1e-3)
