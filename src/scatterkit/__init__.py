@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     MatchingError,
     OverflowGuardError,
-    PoleError,
     ScatteringError,
     TruncationError,
     WrongDimensionError,
@@ -24,8 +23,6 @@ from .specfun import (
     bessel_polynomial,
     calY,
     caly_from_hankel,
-    digamma,
-    gamma_ln,
     gegenbauer,
     pochhammer,
     spherical_bessel_j,
@@ -59,6 +56,7 @@ from .xsection import (
     dsigma_full,
     dsigma_leading,
     f_theta_asymptotic,
+    f_theta_grid,
     one_d_summary,
     sigma_total_asymptotic,
     sigma_total_mode_terms,

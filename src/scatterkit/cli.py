@@ -30,7 +30,7 @@ from .phasesolve import potential_from_json, solve_potential_shifts
 from .specfun import SeriesControl
 from .xsection import (
     cross_section_grid,
-    f_theta_asymptotic,
+    f_theta_grid,
     one_d_summary,
     sigma_total_asymptotic,
     sigma_total_mode_terms,
@@ -90,9 +90,12 @@ def _resolve_rtol(args) -> float:
     if getattr(args, "rtol", None) is not None:
         return args.rtol
     env = os.environ.get("SCATTERKIT_RTOL")
-    if env:
+    if not env:
+        return DEFAULT_RTOL
+    try:
         return float(env)
-    return DEFAULT_RTOL
+    except ValueError as exc:
+        raise DomainError(f"SCATTERKIT_RTOL must be a number: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,8 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
-        raw = json.loads(text)
         try:
+            raw = json.loads(text)
             rg = raw["r_grid"]
             tg = raw["theta_grid"]
             spec = cls(
@@ -126,7 +129,7 @@ class SweepSpec:
                 shifts_source=dict(raw["shifts_source"]),
                 out_dir=raw.get("outputs", {}).get("dir"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed sweep spec: {exc}") from exc
         spec.validate()
         return spec
@@ -185,9 +188,11 @@ def _load_shift_source(args, rtol: float) -> tuple[ScatterConfig, PhaseShiftSet]
     elif args.delta is not None:
         if n is None or k is None:
             raise DomainError("--delta needs explicit --n and --k")
-        shifts = PhaseShiftSet.from_deltas(
-            float(tok) for tok in args.delta.split(",") if tok.strip()
-        )
+        try:
+            deltas = [float(tok) for tok in args.delta.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise DomainError(f"--delta must be comma-separated numbers: {exc}") from exc
+        shifts = PhaseShiftSet.from_deltas(deltas)
     elif args.potential is not None:
         if n is None or k is None:
             raise DomainError("--potential needs explicit --n and --k")
@@ -212,8 +217,8 @@ def _write_wavefield(path: Path, config, shifts, r, theta_count: int, jobs) -> P
 
 
 def _asympt_columns(config, shifts, theta, dsigma) -> tuple[np.ndarray, np.ndarray]:
-    """|f(theta)|^2, once per angle, and dsigma / |f|^2 (nan where f = 0)."""
-    f2 = np.array([abs(f_theta_asymptotic(config, shifts, float(t)).f) ** 2 for t in theta])
+    """|f(theta)|^2 on the angle grid, and dsigma / |f|^2 (nan where f = 0)."""
+    f2 = np.abs(f_theta_grid(config, shifts, theta)) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(f2 > 0, dsigma / f2, float("nan"))
     return f2, ratio

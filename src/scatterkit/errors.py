@@ -9,10 +9,6 @@ class DomainError(ScatteringError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested exactly at a pole (e.g. Gamma at 0, -1, -2, ...)."""
-
-
 class WrongDimensionError(DomainError):
     """Operation only defined for a specific spatial dimension."""
 

@@ -481,8 +481,8 @@ def f_r_theta_3d(
 
 def phase_shifts_from_json(text: str) -> tuple[int, float, PhaseShiftSet]:
     """Parse {"n": int, "k": float, "delta": [float, ...]}."""
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
         n = int(payload["n"])
         k = float(payload["k"])
         deltas = [float(d) for d in payload["delta"]]

@@ -365,8 +365,8 @@ def solve_potential_shifts(
 def potential_from_json(text: str) -> PotentialModel:
     """Parse {"kind": "...", "a": ..., "V0": ...} or {"kind": "tabulated",
     "r": [...], "V": [...]}."""
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
         kind = payload["kind"]
         if kind == "tabulated":
             return PotentialModel.tabulated(payload["r"], payload["V"])

@@ -21,11 +21,18 @@ kept side by side:
   seed pair instead of one per order.  `spherical_jn_basis` (the
   `plane_wave` oracle) takes J from one downward run over every order.
 
-The two routes are compared against each other in the test suite, and the
-recurrences against the per-order scalar route and mpmath; production field
-assembly uses the recurrences, which are fast and uniformly accurate.
+Route A is a test oracle: its logarithmic U series is summed in mpmath
+(imported on first use) and rounded to complex128 once, and the integer-nu
+Bessel polynomials in float64.  The two routes are compared against each
+other in the test suite, and the recurrences against the per-order scalar
+route and mpmath; production field assembly uses the recurrences, which are
+fast and uniformly accurate.
 
-All functions here are pure and safe for concurrent use.
+All functions here are pure, and all but one are safe for concurrent use.
+The exception is the U series of route A (`tricomi_u_integer_b` unless a is
+a non-positive integer, and `calY` in even dimension): `mp.workdps` sets
+mpmath's process-wide working precision while it runs, so concurrent mpmath
+users, this series included, see each other's precision.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from scipy.special import jv, yv
 
@@ -42,7 +48,6 @@ from .errors import (
     ConsistencyError,
     DomainError,
     OverflowGuardError,
-    PoleError,
     TruncationError,
 )
 
@@ -50,9 +55,6 @@ __all__ = [
     "SeriesControl",
     "DEFAULT_SERIES",
     "Order",
-    "gamma_ln",
-    "reciprocal_gamma",
-    "digamma",
     "pochhammer",
     "gegenbauer",
     "gegenbauer_table",
@@ -69,14 +71,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-
-# Largest |z| at which the logarithmic U series is summed in float64.  The
-# series cancels internally and against the finite 1/z^k part, with measured
-# worst-case error growth ~ |z|^a on the usage domain; beyond this the same
-# series is re-summed in extended precision with a digit budget scaled to
-# |z| and a.
-_F64_SERIES_LIMIT = 0.5
-
 
 @dataclass(frozen=True)
 class SeriesControl:
@@ -142,86 +136,8 @@ class Order:
 
 
 # --------------------------------------------------------------------------
-# gamma, digamma, Pochhammer
+# Pochhammer
 # --------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-06,
-    1.5056327351493116e-07,
-)
-
-
-def gamma_ln(x: complex) -> complex:
-    """log Gamma(x) via a 9-term Lanczos sum, reflection for Re x < 1/2.
-
-    exp(gamma_ln(x)) equals Gamma(x); the imaginary part is not normalised
-    to a particular branch.
-    """
-    x = complex(x)
-    if x.imag == 0.0 and x.real <= 0.0 and x.real == round(x.real):
-        raise PoleError(f"Gamma pole at x={x.real}")
-    if x.real < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return cmath.log(math.pi / cmath.sin(math.pi * x)) - gamma_ln(1.0 - x)
-    x -= 1.0
-    acc = complex(_LANCZOS[0])
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return (
-        0.5 * math.log(2.0 * math.pi)
-        + (x + 0.5) * cmath.log(t)
-        - t
-        + cmath.log(acc)
-    )
-
-
-def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x) for real x, exactly 0 at the poles x = 0, -1, -2, ..."""
-    if x <= 0.0 and x == round(x):
-        return 0.0
-    return cmath.exp(-gamma_ln(x)).real
-
-
-def digamma(x: float) -> float:
-    """psi(x) by upward recurrence into x >= 10 plus the Bernoulli tail.
-
-    Negative non-integer arguments go through the reflection
-    psi(1-x) - psi(x) = pi cot(pi x).
-    """
-    x = float(x)
-    if x <= 0.0 and x == round(x):
-        raise PoleError(f"digamma pole at x={x}")
-    if x < 0.0:
-        return digamma(1.0 - x) - math.pi / math.tan(math.pi * x)
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    # psi(x) ~ ln x - 1/(2x) - sum_k B_2k / (2k x^2k)
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    p = inv2
-    for c in (
-        -1.0 / 12.0,
-        1.0 / 120.0,
-        -1.0 / 252.0,
-        1.0 / 240.0,
-        -1.0 / 132.0,
-        691.0 / 32760.0,
-        -1.0 / 12.0,
-    ):
-        tail += c * p
-        p *= inv2
-    return acc + math.log(x) - 0.5 / x + tail
 
 
 def pochhammer(alpha: float, m: int) -> float:
@@ -323,55 +239,15 @@ def _u_negative_integer_a(p: int, m: int, z: complex) -> complex:
     return (-1.0) ** p * acc
 
 
-def _u_log_series_f64(a: float, m: int, z: complex, control: SeriesControl) -> complex:
-    out = 0.0 + 0.0j
-    zinv = 1.0 / z
-    fin = 0.0 + 0.0j
-    for k in range(1, m + 1):
-        fin += (
-            math.factorial(k - 1)
-            * pochhammer(1.0 - a + k, m - k)
-            / math.factorial(m - k)
-        ) * zinv**k
-    out += fin * reciprocal_gamma(a)
+def _u_log_series(a: float, m: int, z: complex, control: SeriesControl) -> complex:
+    # The logarithmic expansion of tricomi_u_integer_b, summed in mpmath with
+    # enough guard digits to absorb the cancellation before rounding back to
+    # complex128: the terms peak near e^|z| while the sum is O(|z|^-a), and
+    # the log series cancels against the finite 1/z^k part.  mpmath is
+    # imported here, so that production, which never reaches this oracle,
+    # does not load it.
+    import mpmath as mp
 
-    rg = reciprocal_gamma(a - m)
-    if rg != 0.0:
-        pref = ((-1.0) ** (m + 1) / math.factorial(m)) * rg
-        logz = cmath.log(z)
-        term_c = 1.0 + 0.0j  # (a)_k / ((m+1)_k k!) z^k, updated in place
-        d_a = digamma(a)
-        d_1 = digamma(1.0)
-        d_m = digamma(m + 1.0)
-        consecutive_small = 0
-        for k in range(control.max_terms):
-            term = pref * term_c * (logz + d_a - d_1 - d_m)
-            out += term
-            # convergence is judged against the full value (finite part
-            # included): the two parts cancel, so the series' own partial
-            # sum is the wrong yardstick
-            if abs(term) <= max(control.rel_tol * abs(out), control.underflow_guard):
-                consecutive_small += 1
-                if consecutive_small >= 3:
-                    break
-            else:
-                consecutive_small = 0
-            term_c *= z * (a + k) / ((m + 1 + k) * (k + 1))
-            d_a += 1.0 / (a + k)
-            d_1 += 1.0 / (1.0 + k)
-            d_m += 1.0 / (m + 1.0 + k)
-        else:
-            raise TruncationError(
-                f"U(a={a}, b={m + 1}, z={z}): series not converged in "
-                f"{control.max_terms} terms"
-            )
-    return out
-
-
-def _u_log_series_mp(a: float, m: int, z: complex, control: SeriesControl) -> complex:
-    # Same series as above, summed with enough guard digits to absorb the
-    # cancellation before rounding back to complex128: the terms peak near
-    # e^|z| while the sum is O(|z|^-a).
     dps = 30 + int(0.45 * abs(z)) + int(abs(a) * math.log10(abs(z) + 2.0))
     with mp.workdps(dps):
         za = mp.mpc(z)
@@ -392,13 +268,16 @@ def _u_log_series_mp(a: float, m: int, z: complex, control: SeriesControl) -> co
             pref = mp.mpf((-1) ** (m + 1)) / (mp.factorial(m) * mp.gamma(am))
             logz = mp.log(za)
             term_c = mp.mpc(1)
-            d_a = mp.digamma(aa)
-            d_1 = mp.digamma(1)
-            d_m = mp.digamma(m + 1)
+            d_a = mp.psi(0, aa)
+            d_1 = mp.psi(0, 1)
+            d_m = mp.psi(0, m + 1)
             consecutive_small = 0
             for k in range(control.max_terms):
                 term = pref * term_c * (logz + d_a - d_1 - d_m)
                 out += term
+                # convergence is judged against the full value, finite part
+                # included: the two parts cancel, so the series' own partial
+                # sum is the wrong yardstick
                 if abs(term) <= max(control.rel_tol * abs(out), control.underflow_guard):
                     consecutive_small += 1
                     if consecutive_small >= 3:
@@ -433,6 +312,10 @@ def tricomi_u_integer_b(
     logarithmic series and only the finite sum survives; that is exactly the
     odd-dimension reduction to the Bessel polynomial.  Matches the asymptotic
     behaviour U ~ z^-a for large |z|.
+
+    The logarithmic series is summed in mpmath at every z, with a digit
+    budget that grows with |z| and a, and rounded to complex128 once.  It is
+    a test oracle (route A), not a production path.
     """
     if m < 0:
         raise DomainError(f"second parameter m must be >= 0, got {m}")
@@ -444,9 +327,7 @@ def tricomi_u_integer_b(
         return 1.0 + 0.0j
     if a < 0.0 and a == round(a):
         return _u_negative_integer_a(int(-a), m, z)
-    if abs(z) <= _F64_SERIES_LIMIT:
-        return _u_log_series_f64(a, m, z, control)
-    return _u_log_series_mp(a, m, z, control)
+    return _u_log_series(a, m, z, control)
 
 
 # --------------------------------------------------------------------------

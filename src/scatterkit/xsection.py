@@ -55,6 +55,7 @@ __all__ = [
     "dsigma_from_cos_gamma",
     "one_d_summary",
     "two_d_dsigma",
+    "f_theta_grid",
     "f_theta_asymptotic",
     "sigma_total_asymptotic",
     "sigma_total_mode_terms",
@@ -371,24 +372,32 @@ def two_d_dsigma(
 # --------------------------------------------------------------------------
 
 
-def f_theta_asymptotic(
-    config: ScatterConfig, shifts: PhaseShiftSet, theta: float
-) -> AsymptoticAmplitude:
-    """Conventional r -> inf scattering amplitude
+def f_theta_grid(config: ScatterConfig, shifts: PhaseShiftSet, theta_values) -> np.ndarray:
+    """Conventional r -> inf scattering amplitude on a grid of angles,
 
         f(theta) = sum_l a_l(theta) (-i)^(l+(n-1)/2) / k,
 
-    obtained by replacing each outgoing wave with its asymptotic phase.
+    obtained by replacing each outgoing wave with its asymptotic phase.  One
+    angular table serves every angle, and each angle is summed in ascending
+    l, so a grid value equals the one-angle f_theta_asymptotic bit for bit.
     """
     if config.n < 2:
         raise WrongDimensionError("asymptotic amplitude defined for n >= 2")
     n, k = config.n, config.k
+    theta = np.asarray(theta_values, dtype=float).ravel()
     lmax = shifts.lmax
     sc = _coef_vector(n, k, lmax) * (shifts.phase_factors(lmax) - 1.0)
     # (-i)^(l + (n-1)/2) = i^(-l) exactly, times one common phase
     far = _I_POWERS[-np.arange(lmax + 1) % 4] * cmath.exp(-0.25j * math.pi * (n - 1))
-    ang = angular_table(n, lmax, np.array([float(theta)]))[:, 0]
-    return AsymptoticAmplitude(theta=float(theta), f=complex(np.dot(sc * far, ang)) / k)
+    return _contract((sc * far)[:, None], angular_table(n, lmax, theta))[0] / k
+
+
+def f_theta_asymptotic(
+    config: ScatterConfig, shifts: PhaseShiftSet, theta: float
+) -> AsymptoticAmplitude:
+    """f(theta) at one angle: the one-point case of f_theta_grid."""
+    f = f_theta_grid(config, shifts, [theta])[0]
+    return AsymptoticAmplitude(theta=float(theta), f=complex(f))
 
 
 def sigma_total_mode_terms(config: ScatterConfig, shifts: PhaseShiftSet) -> np.ndarray:

@@ -32,7 +32,6 @@ from scatterkit.specfun import (
     bessel_polynomial_coefficients,
     calY,
     caly_from_hankel,
-    gamma_ln,
     gegenbauer_table,
     spherical_hankel,
 )
@@ -115,12 +114,12 @@ def test_criterion_03_incoming_invariance_outgoing_phase():
         thetas = np.arccos(x)
         psi, _, _ = evaluate_grid(cfg, shifts, [r1, r2], thetas)
         tab = gegenbauer_table(8, lam, x)
-        gl2 = cmath.exp(gamma_ln(lam)).real ** 2
+        gl2 = math.gamma(lam) ** 2
         s = (n - 3) / 2.0
         for l in range(9):
             norm = (
                 math.pi * 2.0 ** (1.0 - 2.0 * lam)
-                * cmath.exp(gamma_ln(l + 2.0 * lam)).real
+                * math.gamma(l + 2.0 * lam)
                 / (math.factorial(l) * (l + lam) * gl2)
             )
             rl1 = np.sum(w * psi[0] * tab[l]) / norm

@@ -27,6 +27,7 @@ from scatterkit.xsection import (
     dsigma_full,
     dsigma_leading,
     f_theta_asymptotic,
+    f_theta_grid,
 )
 
 dims = st.integers(min_value=2, max_value=8)
@@ -106,6 +107,16 @@ class TestSinglePath:
         size = sum(abs(t) for t in terms) / k
         f = f_theta_asymptotic(cfg, shifts, theta).f
         assert abs(f - sum(terms) / k) <= 1e-13 * max(size, 1e-300)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=dims, k=wavenumbers, deltas=shift_lists, theta=interior)
+    def test_f_theta_grid_is_pointwise(self, n, k, deltas, theta):
+        cfg = ScatterConfig(n=n, k=k)
+        shifts = PhaseShiftSet.from_deltas(deltas)
+        grid = f_theta_grid(cfg, shifts, theta)
+        assert grid.shape == (len(theta),)
+        for j, tv in enumerate(theta):
+            assert f_theta_asymptotic(cfg, shifts, tv).f == grid[j]
 
 
 class TestIncidentAccuracy:

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scatterkit
 from scatterkit.cli import main
 
 
@@ -215,6 +219,60 @@ class TestEnvironment:
         assert run(["wavefield", "--shifts", shifts, "--rtol", "1e-10",
                     "--out", tmp_path, "--r-count", 1, "--theta-count", 2,
                     "--jobs", 1]) == 0
+
+
+class TestMalformedInput:
+    """Unreadable input exits 2 with an `error:` line, not a traceback."""
+
+    def expect_error(self, args, capsys):
+        assert run(args) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_shift_file_not_json(self, tmp_path, capsys):
+        shifts = tmp_path / "shifts.json"
+        shifts.write_text("{not json")
+        self.expect_error(["wavefield", "--shifts", shifts, "--out", tmp_path], capsys)
+
+    def test_potential_file_not_json(self, tmp_path, capsys):
+        pot = tmp_path / "pot.json"
+        pot.write_text("square well, a = 1")
+        self.expect_error(["phaseshifts", "--n", 3, "--k", 1.0, "--potential", pot,
+                           "--out", tmp_path], capsys)
+
+    def test_sweep_spec_not_json(self, tmp_path, capsys):
+        spec = tmp_path / "sweep.json"
+        spec.write_text("")
+        self.expect_error(["sweep", "--spec", spec, "--out", tmp_path], capsys)
+
+    def test_sweep_outputs_not_an_object(self, tmp_path, capsys):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"n_list": [3], "k": 1.0,
+                                    "r_grid": {"min": 1, "max": 2, "count": 1},
+                                    "theta_grid": {"count": 1},
+                                    "shifts_source": {"inline": [0.1]},
+                                    "outputs": 5}))
+        self.expect_error(["sweep", "--spec", spec, "--out", tmp_path], capsys)
+
+    def test_delta_not_a_number(self, tmp_path, capsys):
+        self.expect_error(["wavefield", "--n", 3, "--k", 1.0, "--delta=abc",
+                           "--out", tmp_path], capsys)
+
+    def test_rtol_env_not_a_number(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SCATTERKIT_RTOL", "abc")
+        self.expect_error(["wavefield", "--n", 3, "--k", 1.0, "--delta", "0.1",
+                           "--out", tmp_path], capsys)
+
+
+class TestImport:
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        # mpmath serves only the route-A test oracle; the CLI must not pay
+        # for its import
+        src = str(Path(scatterkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, scatterkit.cli; sys.exit('mpmath' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0
 
 
 class TestFormatting:

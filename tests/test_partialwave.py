@@ -121,7 +121,7 @@ class TestAl:
             shifts = PhaseShiftSet.from_deltas([0.0] * l + [d])
             ours = a_l(cfg2, shifts, l, th)
             n_eps = 2 + 2 * lam
-            pref = cmath.exp(sf.gamma_ln(lam)).real / (
+            pref = math.gamma(lam) / (
                 math.sqrt(math.pi) * (k / 2) ** ((n_eps - 3) / 2)
             )
             ref = (
@@ -255,16 +255,16 @@ class TestModeProjection:
             x, w = roots_gegenbauer(nodes, lam)
         thetas = np.arccos(x)
         psi, _, _ = evaluate_grid(cfg, shifts, [r], thetas)
-        from scatterkit.specfun import gamma_ln, gegenbauer_table
+        from scatterkit.specfun import gegenbauer_table
 
         tab = gegenbauer_table(lproj, lam, x)
         out = []
-        gl2 = cmath.exp(gamma_ln(lam)).real ** 2
+        gl2 = math.gamma(lam) ** 2
         for l in range(lproj + 1):
             norm = (
                 math.pi
                 * 2.0 ** (1.0 - 2.0 * lam)
-                * cmath.exp(gamma_ln(l + 2.0 * lam)).real
+                * math.gamma(l + 2.0 * lam)
                 / (math.factorial(l) * (l + lam) * gl2)
             )
             # n=3: plain Legendre nodes, unit weight; n=4: Gegenbauer nodes
