@@ -170,9 +170,16 @@ def _theta_grid(n: int, count: int, interior: bool) -> np.ndarray:
     return np.linspace(0.0, math.pi, count)
 
 
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _solve_shifts(config: ScatterConfig, potential_path: str, lsolve: int) -> PhaseShiftSet:
     """delta_l for l = 0..lsolve of the potential in a JSON file."""
-    potential = potential_from_json(Path(potential_path).read_text())
+    potential = potential_from_json(_read_input(potential_path))
     results = solve_potential_shifts(config, potential, lsolve)
     return PhaseShiftSet.from_deltas(m.delta for m in results)
 
@@ -182,7 +189,7 @@ def _load_shift_source(args, rtol: float) -> tuple[ScatterConfig, PhaseShiftSet]
     series = SeriesControl(rel_tol=rtol)
     n, k = args.n, args.k
     if args.shifts is not None:
-        file_n, file_k, shifts = phase_shifts_from_json(Path(args.shifts).read_text())
+        file_n, file_k, shifts = phase_shifts_from_json(_read_input(args.shifts))
         n = n if n is not None else file_n
         k = k if k is not None else file_k
     elif args.delta is not None:
@@ -281,7 +288,7 @@ def cmd_asympt_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec.from_json(Path(args.spec).read_text())
+    spec = SweepSpec.from_json(_read_input(args.spec))
     # explicit --out wins; a directory named in the spec is the fallback
     out_dir = Path(spec.out_dir) if args.out == "." and spec.out_dir else Path(args.out)
     rtol = _resolve_rtol(args)
@@ -291,7 +298,7 @@ def cmd_sweep(args) -> int:
     if "inline" in src:
         base_shifts = PhaseShiftSet.from_deltas(float(d) for d in src["inline"])
     elif "file" in src:
-        _, _, base_shifts = phase_shifts_from_json(Path(src["file"]).read_text())
+        _, _, base_shifts = phase_shifts_from_json(_read_input(src["file"]))
     elif "potential" in src:
         base_shifts = None  # solved per dimension below
     else:

@@ -23,8 +23,8 @@ derivative and leaves
 
 where nu_t^2 - 1/4 = l(l+n-2) + (n-1)(n-3)/4 is the effective centrifugal
 constant of the original equation.  Integration uses the fixed-step Numerov
-recurrence (fourth-order global accuracy) with periodic renormalisation so
-deep classically-forbidden regions cannot overflow.
+recurrence (fourth-order global accuracy) for all l in one pass, renormalising
+each l on its own so deep classically-forbidden regions cannot overflow.
 
 delta is reported as the principal value arg(D/C)/2 in (-pi/2, pi/2];
 e^{2i delta} fixes delta only mod pi, so k-sweeps can be made continuous
@@ -225,24 +225,95 @@ def square_well_shift(
 # --------------------------------------------------------------------------
 
 
-def _numerov(r: np.ndarray, q_arr: np.ndarray, p: float, b2: float) -> np.ndarray:
-    """Propagate u'' = Q u outward on the uniform grid r with u ~ r^p (1 + b2 r^2).
+def _numerov(r: np.ndarray, q: np.ndarray, p: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Propagate u'' = Q u outward on the uniform grid r, all l in one pass.
 
-    Renormalises periodically; only the overall scale is lost, which the
-    coefficient fit does not need.
+    Column j of q is Q for one l, started as u ~ r^p_j (1 + b2_j r^2).  Each
+    column is renormalised on its own as it passes 1e250 (the fit needs no
+    scale), so a large high-l column never underflows a small low-l one, and
+    each column equals its one-column run bit for bit.
     """
-    h2 = (r[1] - r[0]) ** 2
-    c = h2 / 12.0
-    u = np.empty_like(r)
-    u[0] = r[0] ** p * (1.0 + b2 * r[0] ** 2)
-    u[1] = r[1] ** p * (1.0 + b2 * r[1] ** 2)
-    for i in range(1, r.size - 1):
-        u[i + 1] = (
-            (2.0 + 10.0 * c * q_arr[i]) * u[i] - (1.0 - c * q_arr[i - 1]) * u[i - 1]
-        ) / (1.0 - c * q_arr[i + 1])
-        if abs(u[i + 1]) > 1e250:
-            u[: i + 2] *= 1e-250
+    c = (r[1] - r[0]) ** 2 / 12.0
+    grow, damp = 2.0 + 10.0 * c * q, 1.0 - c * q
+    u = np.empty_like(q)
+    # scalar pow per l: numpy's vectorised pow may round differently
+    for i in (0, 1):
+        u[i] = [r[i] ** pj * (1.0 + bj * r[i] ** 2) for pj, bj in zip(p.tolist(), b2.tolist())]
+    u_prev, u_i = u[0], u[1]
+    steps = zip(u[2:], damp[:-2], grow[1:-1], damp[2:])
+    for i, (u_next, d_prev, g_i, d_next) in enumerate(steps, 1):
+        np.divide(g_i * u_i - d_prev * u_prev, d_next, out=u_next)
+        size = np.abs(u_next)
+        if np.fmax.reduce(size, initial=0.0) > 1e250:  # fmax: nan hides no column
+            u[: i + 2, size > 1e250] *= 1e-250
+        u_prev, u_i = u_i, u_next
     return u
+
+
+def _ode_shifts(config: ScatterConfig, potential: PotentialModel, ls: range,
+                r_match: float | None) -> list[MatchResult]:
+    """ode_shift for each l in ls, with all l propagated in one Numerov pass."""
+    if potential.kind != "tabulated":
+        raise DomainError("ode_shift integrates tabulated potentials; use the "
+                          "closed-form solvers for ideal wells and hard spheres")
+    n, k = config.n, config.k
+    a = potential.a
+    if r_match is None:
+        r_match = 1.3 * a
+    if not r_match > a:
+        raise DomainError(f"r_match must exceed the potential range {a}")
+
+    dr_table = float(np.min(np.diff(np.asarray(potential.r_table))))
+    h = min(1.0 / (20.0 * k), a / 200.0, dr_table / 2.0)
+    r_end = r_match + 6.0 * h
+    npts = int(math.ceil(r_end / h)) + 1
+    r = h * np.arange(1, npts + 1)
+    v = potential.evaluate(r)
+
+    p = np.array(ls) + (n - 1) / 2.0
+    # centrifugal constant of the substituted equation, c = nu_t^2 - 1/4 = p(p - 1)
+    cent = p * (p - 1.0)
+    b2 = (float(v[0]) - k * k) / (4.0 * p + 2.0)  # next order of the regular series
+    u_all = _numerov(r, cent / (r * r)[:, None] + v[:, None] - k * k, p, b2)
+
+    s, e = (n - 3) / 2.0, (n - 1) / 2.0
+    idx = min(max(int(np.searchsorted(r, r_match)), 2), r.size - 3)
+    rm, z = r[idx], k * r[idx]
+    # validate at an independent free-region radius
+    idx_val = min(max(int(np.searchsorted(r, a + 0.6 * (rm - a))), 2), r.size - 3)
+    rv = r[idx_val]
+    results = []
+    for l, u in zip(ls, u_all.T):
+        if k * r_match < l:
+            warnings.warn(f"matching at k*r={k * r_match:.3g} < l={l} is classically "
+                          "forbidden; expect reduced accuracy", stacklevel=3)
+        du = (u[idx - 2] - 8.0 * u[idx - 1] + 8.0 * u[idx + 1] - u[idx + 2]) / (12.0 * h)
+        big_r = u[idx] / rm**e
+        big_rp = du / rm**e - e * u[idx] / rm ** (e + 1.0)
+        order = Order(l, n)
+        h1 = specfun.spherical_hankel(1, order, z, config.series)
+        h2 = specfun.spherical_hankel(2, order, z, config.series)
+        h1_up = specfun.spherical_hankel(1, Order(l + 1, n), z, config.series)
+        h2_up = specfun.spherical_hankel(2, Order(l + 1, n), z, config.series)
+        dh1 = k * specfun.hankel_derivative(order.nu, h1, h1_up, z)
+        dh2 = k * specfun.hankel_derivative(order.nu, h2, h2_up, z)
+        u2, u1 = h2 / rm**s, h1 / rm**s
+        du2 = dh2 / rm**s - s * h2 / rm ** (s + 1.0)
+        du1 = dh1 / rm**s - s * h1 / rm ** (s + 1.0)
+        mat = np.array([[u2, u1], [du2, du1]], dtype=complex)
+        c_coef, d_coef = np.linalg.solve(mat, np.array([big_r, big_rp], dtype=complex))
+        h1v = specfun.spherical_hankel(1, order, k * rv, config.series)
+        h2v = specfun.spherical_hankel(2, order, k * rv, config.series)
+        model = (c_coef * h2v + d_coef * h1v) / rv**s
+        actual = u[idx_val] / rv**e
+        scale = max(abs(actual), abs(model), 1e-280)
+        residual = abs(model - actual) / scale
+        if residual > 1e-6:
+            raise MatchingError(f"free-region residual {residual:.3e} at l={l}; refine "
+                                "the table or move r_match outward")
+        delta = 0.5 * float(np.angle(d_coef / c_coef))
+        results.append(MatchResult(l=l, delta=delta, c_over_d_residual=residual))
+    return results
 
 
 def ode_shift(
@@ -261,86 +332,15 @@ def ode_shift(
 
     for the coefficients; delta = arg(D/C)/2.  The residual is checked at a
     second, independent radius in the free region and must stay below 1e-6.
+    It does not bound the error of the start at r = h: at n = 2, l = 0,
+    u ~ sqrt(r) has derivatives singular at the origin, and e^{2i delta} is
+    off by 1e-2 while the residual passes.
 
     Step size: min(1/(20 k), a/200, half the finest table spacing) -- the
     last term so that steep tabulated features (ramps approximating jumps)
     are actually resolved by the grid.
     """
-    if potential.kind != "tabulated":
-        raise DomainError("ode_shift integrates tabulated potentials; use the "
-                          "closed-form solvers for ideal wells and hard spheres")
-    n, k = config.n, config.k
-    a = potential.a
-    if r_match is None:
-        r_match = 1.3 * a
-    if not r_match > a:
-        raise DomainError(f"r_match must exceed the potential range {a}")
-    if k * r_match < l:
-        warnings.warn(
-            f"matching at k*r={k * r_match:.3g} < l={l} is classically forbidden; "
-            "expect reduced accuracy",
-            stacklevel=2,
-        )
-
-    dr_table = float(np.min(np.diff(np.asarray(potential.r_table))))
-    h = min(1.0 / (20.0 * k), a / 200.0, dr_table / 2.0)
-    r_end = r_match + 6.0 * h
-    npts = int(math.ceil(r_end / h)) + 1
-    r = h * np.arange(1, npts + 1)
-    v = potential.evaluate(r)
-
-    # centrifugal constant of the substituted equation, c = nu_t^2 - 1/4
-    cent = l * (l + n - 2) + (n - 1) * (n - 3) / 4.0
-    q_arr = cent / (r * r) + v - k * k
-    p = l + (n - 1) / 2.0
-    b2 = (float(v[0]) - k * k) / (4.0 * p + 2.0)  # next order of the regular series
-    u = _numerov(r, q_arr, p, b2)
-
-    def coefficients_at(idx: int) -> tuple[complex, complex, float, float]:
-        rm = r[idx]
-        du = (u[idx - 2] - 8.0 * u[idx - 1] + 8.0 * u[idx + 1] - u[idx + 2]) / (12.0 * h)
-        s = (n - 3) / 2.0
-        e = (n - 1) / 2.0
-        big_r = u[idx] / rm**e
-        big_rp = du / rm**e - e * u[idx] / rm ** (e + 1.0)
-        z = k * rm
-        order = Order(l, n)
-        h1 = specfun.spherical_hankel(1, order, z, config.series)
-        h2 = specfun.spherical_hankel(2, order, z, config.series)
-        h1_up = specfun.spherical_hankel(1, Order(l + 1, n), z, config.series)
-        h2_up = specfun.spherical_hankel(2, Order(l + 1, n), z, config.series)
-        dh1 = k * specfun.hankel_derivative(order.nu, h1, h1_up, z)
-        dh2 = k * specfun.hankel_derivative(order.nu, h2, h2_up, z)
-        u2, u1 = h2 / rm**s, h1 / rm**s
-        du2 = dh2 / rm**s - s * h2 / rm ** (s + 1.0)
-        du1 = dh1 / rm**s - s * h1 / rm ** (s + 1.0)
-        mat = np.array([[u2, u1], [du2, du1]], dtype=complex)
-        cvec = np.linalg.solve(mat, np.array([big_r, big_rp], dtype=complex))
-        return cvec[0], cvec[1], big_r, rm
-
-    idx_match = int(np.searchsorted(r, r_match))
-    idx_match = min(max(idx_match, 2), r.size - 3)
-    c_coef, d_coef, _, rm = coefficients_at(idx_match)
-
-    # validate at an independent free-region radius
-    idx_val = int(np.searchsorted(r, a + 0.6 * (rm - a)))
-    idx_val = min(max(idx_val, 2), r.size - 3)
-    s = (n - 3) / 2.0
-    rv = r[idx_val]
-    order = Order(l, n)
-    h1v = specfun.spherical_hankel(1, order, k * rv, config.series)
-    h2v = specfun.spherical_hankel(2, order, k * rv, config.series)
-    model = (c_coef * h2v + d_coef * h1v) / rv**s
-    actual = u[idx_val] / rv ** ((n - 1) / 2.0)
-    scale = max(abs(actual), abs(model), 1e-280)
-    residual = abs(model - actual) / scale
-    if residual > 1e-6:
-        raise MatchingError(
-            f"free-region residual {residual:.3e} at l={l}; refine the table "
-            "or move r_match outward"
-        )
-    delta = 0.5 * float(np.angle(d_coef / c_coef))
-    return MatchResult(l=l, delta=delta, c_over_d_residual=residual)
+    return _ode_shifts(config, potential, range(l, l + 1), r_match)[0]
 
 
 def solve_potential_shifts(
@@ -354,7 +354,7 @@ def solve_potential_shifts(
             square_well_shift(config, potential.a, potential.V0, l)
             for l in range(lmax + 1)
         ]
-    return [ode_shift(config, potential, l) for l in range(lmax + 1)]
+    return _ode_shifts(config, potential, range(lmax + 1), None)
 
 
 # --------------------------------------------------------------------------

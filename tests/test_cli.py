@@ -253,6 +253,45 @@ class TestMalformedInput:
                                     "outputs": 5}))
         self.expect_error(["sweep", "--spec", spec, "--out", tmp_path], capsys)
 
+    def expect_unreadable(self, args, path, capsys):
+        # exit 2 with an error line that names the file, not a traceback
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+    def sweep_spec(self, tmp_path, source):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"n_list": [3], "k": 1.0,
+                                    "r_grid": {"min": 1, "max": 2, "count": 1},
+                                    "theta_grid": {"count": 1},
+                                    "shifts_source": source}))
+        return spec
+
+    def test_shift_file_missing(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        self.expect_unreadable(["wavefield", "--shifts", missing, "--out", tmp_path],
+                               missing, capsys)
+
+    def test_potential_file_missing(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        self.expect_unreadable(["phaseshifts", "--n", 3, "--k", 1.0, "--potential", missing,
+                                "--out", tmp_path], missing, capsys)
+
+    def test_sweep_spec_missing(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        self.expect_unreadable(["sweep", "--spec", missing, "--out", tmp_path],
+                               missing, capsys)
+
+    def test_sweep_shift_file_missing(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        spec = self.sweep_spec(tmp_path, {"file": str(missing)})
+        self.expect_unreadable(["sweep", "--spec", spec, "--out", tmp_path], missing, capsys)
+
+    def test_sweep_potential_missing(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        spec = self.sweep_spec(tmp_path, {"potential": str(missing)})
+        self.expect_unreadable(["sweep", "--spec", spec, "--out", tmp_path], missing, capsys)
+
     def test_delta_not_a_number(self, tmp_path, capsys):
         self.expect_error(["wavefield", "--n", 3, "--k", 1.0, "--delta=abc",
                            "--out", tmp_path], capsys)
