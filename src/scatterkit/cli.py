@@ -143,6 +143,13 @@ class SweepSpec:
             raise DomainError("r_min must be > 0")
         if self.r_scale not in ("linear", "log"):
             raise DomainError(f"unknown r scale {self.r_scale!r}")
+        src = self.shifts_source
+        for key in ("file", "potential"):
+            if key in src and not isinstance(src[key], str):
+                raise DomainError(f"shifts_source {key} must be a file name, got {src[key]!r}")
+        inline = src.get("inline", [])
+        if not (isinstance(inline, list) and all(type(d) in (int, float) for d in inline)):
+            raise DomainError(f"shifts_source inline must be a list of numbers, got {inline!r}")
 
 
 def _r_grid(r_min: float, r_max: float, count: int, scale: str) -> np.ndarray:

@@ -103,11 +103,11 @@ class PhaseShiftSet:
     def __post_init__(self) -> None:
         if len(self.delta) < 1:
             raise DomainError("at least one phase shift is required")
-        coerced = tuple(complex(d) for d in self.delta)
-        for d in coerced:
-            if not (math.isfinite(d.real) and math.isfinite(d.imag)):
-                raise DomainError("phase shifts must be finite")
-        object.__setattr__(self, "delta", coerced)
+        object.__setattr__(self, "delta", tuple(complex(d) for d in self.delta))
+        with np.errstate(all="ignore"):
+            bad = np.flatnonzero(~np.isfinite(self.phase_factors(self.lmax)))
+        if bad.size:
+            raise DomainError(f"e^(2i delta_l) is not finite at l={bad[0]}: {self.delta[bad[0]]}")
 
     @classmethod
     def from_deltas(cls, deltas) -> "PhaseShiftSet":
@@ -263,6 +263,19 @@ def _contract(radial: np.ndarray, ang: np.ndarray) -> np.ndarray:
     for l in range(radial.shape[0]):
         out += radial[l][:, None] * ang[l]
     return out
+
+
+def _radial_and_derivative(n: int, k: float, h: np.ndarray, r):
+    """h_nu(kr)/r^s and its r-derivative for l = 0..len(h)-2, s = (n-3)/2.
+
+    h holds orders l = 0..lmax+1 along its first axis (the extra order feeds
+    `hankel_derivative`); r is a scalar or broadcasts against h[:-1].
+    """
+    s = (n - 3) / 2.0
+    nus = (np.arange(h.shape[0] - 1) + s).reshape((-1,) + (1,) * (h.ndim - 1))
+    dh = k * specfun.hankel_derivative(nus, h[:-1], h[1:], k * r)
+    rs = r**s
+    return h[:-1] / rs, dh / rs - s * h[:-1] / (rs * r)
 
 
 def plane_wave(config: ScatterConfig, r: float, theta: float) -> complex:

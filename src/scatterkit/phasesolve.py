@@ -13,8 +13,8 @@ the phase shift.  Three solvers produce delta_l:
                          j_nu(qr)/r^s (or i_nu(kappa r)/r^s when the
                          interior is evanescent) at the well edge;
 * ode_shift           -- outward integration of a tabulated short-range
-                         potential and a 2x2 solve for (C_l, D_l) against
-                         the free solution in the force-free region.
+                         potential, matched to the real free pair
+                         F + iG = h^(1)_nu(kr)/r^s in the force-free region.
 
 The ODE route substitutes u = R r^((n-1)/2), which removes the first
 derivative and leaves
@@ -25,6 +25,10 @@ where nu_t^2 - 1/4 = l(l+n-2) + (n-1)(n-3)/4 is the effective centrifugal
 constant of the original equation.  Integration uses the fixed-step Numerov
 recurrence (fourth-order global accuracy) for all l in one pass, renormalising
 each l on its own so deep classically-forbidden regions cannot overflow.
+The fit is made in the real pair (F, G) by the Wronskian W = F G' - G F';
+in (h2, h1) the irregular parts of C h2 and D h1 would cancel under a
+centrifugal barrier.  Every solver takes its free solution from one
+`specfun.hankel_basis` call per radius.
 
 delta is reported as the principal value arg(D/C)/2 in (-pi/2, pi/2];
 e^{2i delta} fixes delta only mod pi, so k-sweeps can be made continuous
@@ -43,7 +47,7 @@ from scipy.special import iv
 
 from . import specfun
 from .errors import DomainError, MatchingError
-from .partialwave import ScatterConfig
+from .partialwave import ScatterConfig, _radial_and_derivative
 from .specfun import Order
 
 __all__ = [
@@ -80,19 +84,24 @@ class PotentialModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not self.a > 0:
-            raise DomainError(f"radius must be > 0, got a={self.a}")
         if self.kind == "tabulated":
             if self.r_table is None or self.v_table is None:
                 raise DomainError("tabulated potential needs r_table and v_table")
             r = np.asarray(self.r_table, dtype=float)
             v = np.asarray(self.v_table, dtype=float)
+            for name, t in (("r_table", r), ("v_table", v)):
+                if not np.all(np.isfinite(t)):
+                    raise DomainError(f"{name} must be finite, got {t[~np.isfinite(t)][0]}")
             if r.size != v.size or r.size < 2:
                 raise DomainError("tables must have equal length >= 2")
             if np.any(np.diff(r) <= 0):
                 raise DomainError("r_table must be strictly increasing")
             if v[-1] != 0.0:
                 raise DomainError("short range required: last V sample must be 0")
+        if not (self.a > 0 and math.isfinite(self.a)):
+            raise DomainError(f"radius a must be finite and > 0, got a={self.a}")
+        if not math.isfinite(self.V0):
+            raise DomainError(f"V0 must be finite, got {self.V0}")
 
     @classmethod
     def hard_sphere(cls, a: float) -> "PotentialModel":
@@ -122,8 +131,8 @@ class MatchResult:
     """Phase shift for one partial wave plus a dimensionless match residual.
 
     For the closed-form solvers the residual is ||D/C| - 1|; for the ODE
-    solver it is the relative mismatch between the fitted free solution and
-    the integrated one at a validation radius away from the match point.
+    solver it is the relative mismatch between the fitted A F + B G and the
+    integrated solution at a validation radius away from the match point.
     """
 
     l: int
@@ -149,38 +158,30 @@ def hard_sphere_shift(config: ScatterConfig, a: float, l: int) -> MatchResult:
     """
     if not a > 0:
         raise DomainError(f"radius must be > 0, got a={a}")
-    order = Order(l, config.n)
-    z = config.k * a
-    h1 = specfun.spherical_hankel(1, order, z, config.series)
-    h2 = specfun.spherical_hankel(2, order, z, config.series)
-    ratio = -h2 / h1
+    Order(l, config.n)  # rejects l < 0
+    h2, h1 = specfun.hankel_basis(config.n, l, config.k * a)
+    ratio = -h2[l] / h1[l]
     delta = 0.5 * float(np.angle(ratio))
     return MatchResult(l=l, delta=delta, c_over_d_residual=abs(abs(ratio) - 1.0))
 
 
-def _interior_logderivative(order: Order, q2: float, a: float, series) -> tuple[float, float]:
+def _interior_logderivative(order: Order, q2: float, a: float) -> tuple[float, float]:
     """(value, d/dr value) of the regular interior radial factor at r = a.
 
-    Propagating interior (q^2 > 0): j_nu(q r); evanescent (q^2 < 0):
+    Propagating interior (q^2 > 0): j_nu(q r) = Re h^(1)_nu; evanescent (q^2 < 0):
     the modified function i_nu(kappa r) = sqrt(pi/2z) I_{nu+1/2}(kappa r),
     which is the regular solution under k^2 - V < 0.
     """
     if q2 > 0.0:
         q = math.sqrt(q2)
-        f = specfun.spherical_bessel_j(order, q * a, series)
-        f_up = specfun.spherical_bessel_j(Order(order.l + 1, order.n), q * a, series)
-        fp = q * specfun.hankel_derivative(order.nu, f, f_up, q * a)
-        return f, fp
+        j = specfun.hankel_basis(order.n, order.l + 1, q * a)[1].real
+        fp = q * specfun.hankel_derivative(order.nu, j[order.l], j[order.l + 1], q * a)
+        return j[order.l], fp
     kappa = math.sqrt(-q2)
     z = kappa * a
-
-    def mod_i(o: Order) -> float:
-        if o.two_nu == -2:
-            return math.cosh(z) / z
-        return math.sqrt(math.pi / (2.0 * z)) * float(iv(o.bessel_order, z))
-
-    f = mod_i(order)
-    f_up = mod_i(Order(order.l + 1, order.n))
+    f, f_up = math.sqrt(math.pi / (2.0 * z)) * iv(order.bessel_order + np.arange(2.0), z)
+    if order.two_nu == -2:
+        f = math.cosh(z) / z  # i_{-1}
     # i'_nu(z) = i_{nu-1} - (nu+1)/z i_nu = (nu/z) i_nu + i_{nu+1}
     fp = kappa * ((order.nu / z) * f + f_up)
     return f, fp
@@ -207,15 +208,11 @@ def square_well_shift(
     if q2 == 0.0:
         raise DomainError("k^2 = V0 exactly is not supported; perturb V0")
     order = Order(l, n)
-    f, fp = _interior_logderivative(order, q2, a, config.series)
+    f, fp = _interior_logderivative(order, q2, a)
     z = k * a
-    h1 = specfun.spherical_hankel(1, order, z, config.series)
-    h2 = specfun.spherical_hankel(2, order, z, config.series)
-    h1_up = specfun.spherical_hankel(1, Order(l + 1, n), z, config.series)
-    h2_up = specfun.spherical_hankel(2, Order(l + 1, n), z, config.series)
-    dh1 = k * specfun.hankel_derivative(order.nu, h1, h1_up, z)
-    dh2 = k * specfun.hankel_derivative(order.nu, h2, h2_up, z)
-    ratio = -(fp * h2 - f * dh2) / (fp * h1 - f * dh1)
+    h2, h1 = specfun.hankel_basis(n, l + 1, z)
+    dh2, dh1 = (k * specfun.hankel_derivative(order.nu, h[l], h[l + 1], z) for h in (h2, h1))
+    ratio = -(fp * h2[l] - f * dh2) / (fp * h1[l] - f * dh1)
     delta = 0.5 * float(np.angle(ratio))
     return MatchResult(l=l, delta=delta, c_over_d_residual=abs(abs(ratio) - 1.0))
 
@@ -262,6 +259,9 @@ def _ode_shifts(config: ScatterConfig, potential: PotentialModel, ls: range,
         r_match = 1.3 * a
     if not r_match > a:
         raise DomainError(f"r_match must exceed the potential range {a}")
+    Order(ls.start, n)  # rejects l < 0
+    if not ls:
+        return []
 
     dr_table = float(np.min(np.diff(np.asarray(potential.r_table))))
     h = min(1.0 / (20.0 * k), a / 200.0, dr_table / 2.0)
@@ -278,40 +278,36 @@ def _ode_shifts(config: ScatterConfig, potential: PotentialModel, ls: range,
 
     s, e = (n - 3) / 2.0, (n - 1) / 2.0
     idx = min(max(int(np.searchsorted(r, r_match)), 2), r.size - 3)
-    rm, z = r[idx], k * r[idx]
+    rm = r[idx]
     # validate at an independent free-region radius
     idx_val = min(max(int(np.searchsorted(r, a + 0.6 * (rm - a))), 2), r.size - 3)
     rv = r[idx_val]
+    # F + iG = h1_nu(kr)/r^s and its r-derivative at the match, F_v + iG_v at rv
+    f1, d1 = _radial_and_derivative(n, k, specfun.hankel_basis(n, ls[-1] + 1, k * rm)[1], rm)
+    f1, d1 = f1[ls.start:], d1[ls.start:]
+    f1v = specfun.hankel_basis(n, ls[-1], k * rv)[1][ls.start:] / rv**s
+    u = u_all[idx - 2 : idx + 3]
+    du = (u[0] - 8.0 * u[1] + 8.0 * u[3] - u[4]) / (12.0 * h)
+    big_r = u[2] / rm**e
+    big_rp = du / rm**e - e * u[2] / rm ** (e + 1.0)
+    # R = A F + B G, R' = A F' + B G' by Cramer's rule
+    wr = f1.real * d1.imag - f1.imag * d1.real
+    coef_a = (big_r * d1.imag - f1.imag * big_rp) / wr
+    coef_b = (f1.real * big_rp - big_r * d1.real) / wr
+    model = coef_a * f1v.real + coef_b * f1v.imag
+    actual = u_all[idx_val] / rv**e
+    scale = np.maximum(np.maximum(np.abs(actual), np.abs(model)), 1e-280)
+    residuals = np.abs(model - actual) / scale
+    # e^{2i delta} = D/C = (A - iB)/(A + iB)
+    deltas = 0.5 * np.angle((coef_a - 1j * coef_b) / (coef_a + 1j * coef_b))
     results = []
-    for l, u in zip(ls, u_all.T):
+    for l, delta, residual in zip(ls, deltas.tolist(), residuals.tolist()):
         if k * r_match < l:
             warnings.warn(f"matching at k*r={k * r_match:.3g} < l={l} is classically "
                           "forbidden; expect reduced accuracy", stacklevel=3)
-        du = (u[idx - 2] - 8.0 * u[idx - 1] + 8.0 * u[idx + 1] - u[idx + 2]) / (12.0 * h)
-        big_r = u[idx] / rm**e
-        big_rp = du / rm**e - e * u[idx] / rm ** (e + 1.0)
-        order = Order(l, n)
-        h1 = specfun.spherical_hankel(1, order, z, config.series)
-        h2 = specfun.spherical_hankel(2, order, z, config.series)
-        h1_up = specfun.spherical_hankel(1, Order(l + 1, n), z, config.series)
-        h2_up = specfun.spherical_hankel(2, Order(l + 1, n), z, config.series)
-        dh1 = k * specfun.hankel_derivative(order.nu, h1, h1_up, z)
-        dh2 = k * specfun.hankel_derivative(order.nu, h2, h2_up, z)
-        u2, u1 = h2 / rm**s, h1 / rm**s
-        du2 = dh2 / rm**s - s * h2 / rm ** (s + 1.0)
-        du1 = dh1 / rm**s - s * h1 / rm ** (s + 1.0)
-        mat = np.array([[u2, u1], [du2, du1]], dtype=complex)
-        c_coef, d_coef = np.linalg.solve(mat, np.array([big_r, big_rp], dtype=complex))
-        h1v = specfun.spherical_hankel(1, order, k * rv, config.series)
-        h2v = specfun.spherical_hankel(2, order, k * rv, config.series)
-        model = (c_coef * h2v + d_coef * h1v) / rv**s
-        actual = u[idx_val] / rv**e
-        scale = max(abs(actual), abs(model), 1e-280)
-        residual = abs(model - actual) / scale
         if residual > 1e-6:
             raise MatchingError(f"free-region residual {residual:.3e} at l={l}; refine "
                                 "the table or move r_match outward")
-        delta = 0.5 * float(np.angle(d_coef / c_coef))
         results.append(MatchResult(l=l, delta=delta, c_over_d_residual=residual))
     return results
 
@@ -326,15 +322,15 @@ def ode_shift(
 
     Integrates the substituted equation u'' = [c/r^2 + V - k^2] u,
     c = l(l+n-2) + (n-1)(n-3)/4, from a regular start u ~ r^(l+(n-1)/2)
-    out to r_match > r_cut, then solves the 2x2 system
-
-        [h2/r^s, h1/r^s; (h2/r^s)', (h1/r^s)'] (C, D) = (R, R')
-
-    for the coefficients; delta = arg(D/C)/2.  The residual is checked at a
-    second, independent radius in the free region and must stay below 1e-6.
-    It does not bound the error of the start at r = h: at n = 2, l = 0,
-    u ~ sqrt(r) has derivatives singular at the origin, and e^{2i delta} is
-    off by 1e-2 while the residual passes.
+    out to r_match > r_cut, then fits R = A F + B G, R' = A F' + B G' in the
+    real free pair F + iG = h1_nu(kr)/r^s by Cramer's rule (Wronskian
+    W = F G' - G F'); C = (A + iB)/2, D = (A - iB)/2 and
+    e^{2i delta} = D/C = (A - iB)/(A + iB).  The residual, |A F + B G - R|
+    over the larger of the two at a second free-region radius, must stay
+    below 1e-6.  It sees only the integration between the two radii: an
+    error inside the potential, such as the start at r = h, moves A and B
+    and passes it.  At n = 2, l = 0, u ~ sqrt(r) has derivatives singular
+    at the origin, and e^{2i delta} is off by 1e-2 while the residual passes.
 
     Step size: min(1/(20 k), a/200, half the finest table spacing) -- the
     last term so that steep tabulated features (ramps approximating jumps)

@@ -24,9 +24,9 @@ kept side by side:
 Route A is a test oracle: its logarithmic U series is summed in mpmath
 (imported on first use) and rounded to complex128 once, and the integer-nu
 Bessel polynomials in float64.  The two routes are compared against each
-other in the test suite, and the recurrences against the per-order scalar
-route and mpmath; production field assembly uses the recurrences, which are
-fast and uniformly accurate.
+other in the test suite, and the recurrences against mpmath and the scalar
+route, their oracle, which has no production caller.  Production (fields,
+currents and the phase-shift solvers) uses the fast, accurate recurrences.
 
 All functions here are pure, and all but one are safe for concurrent use.
 The exception is the U series of route A (`tricomi_u_integer_b` unless a is
@@ -44,12 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv, yv
 
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    OverflowGuardError,
-    TruncationError,
-)
+from .errors import DomainError, OverflowGuardError, TruncationError
 
 __all__ = [
     "SeriesControl",
@@ -407,19 +402,9 @@ def spherical_hankel(
 def spherical_bessel_j(
     order: Order, z: float, control: SeriesControl = DEFAULT_SERIES
 ) -> float:
-    """j_nu(z) as the half-sum of the two Hankel kinds.
-
-    The imaginary parts cancel; a residual above rel_tol signals a broken
-    conjugation between the two kinds and raises.
-    """
-    h1 = spherical_hankel(1, order, z, control)
-    h2 = spherical_hankel(2, order, z, control)
-    j = 0.5 * (h1 + h2)
-    if abs(j.imag) > control.rel_tol * max(abs(j), 1e-280):
-        raise ConsistencyError(
-            f"imaginary residual {j.imag} in j_nu at nu={order.nu}, z={z}"
-        )
-    return j.real
+    """j_nu(z) = Re h_nu^(1)(z), the scalar oracle of j_nu: on the real axis
+    the two kinds are exact conjugates, so this is their half-sum bit for bit."""
+    return spherical_hankel(1, order, z, control).real
 
 
 # --------------------------------------------------------------------------

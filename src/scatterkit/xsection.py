@@ -39,6 +39,7 @@ from .partialwave import (
     _coef_vector,
     _contract,
     _grid_axes,
+    _radial_and_derivative,
     a_l,
     angular_table,
 )
@@ -130,19 +131,6 @@ def _angular_derivative_table(n: int, lmax: int, theta: np.ndarray) -> np.ndarra
 # --------------------------------------------------------------------------
 # Wronskian machinery
 # --------------------------------------------------------------------------
-
-
-def _radial_and_derivative(n: int, k: float, h: np.ndarray, r):
-    """h_nu(kr)/r^s and its r-derivative for l = 0..len(h)-2, s = (n-3)/2.
-
-    h holds orders l = 0..lmax+1 along its first axis (the extra order feeds
-    `hankel_derivative`); r is a scalar or broadcasts against h[:-1].
-    """
-    s = (n - 3) / 2.0
-    nus = (np.arange(h.shape[0] - 1) + s).reshape((-1,) + (1,) * (h.ndim - 1))
-    dh = k * specfun.hankel_derivative(nus, h[:-1], h[1:], k * r)
-    rs = r**s
-    return h[:-1] / rs, dh / rs - s * h[:-1] / (rs * r)
 
 
 def _wronskian_matrix(config: ScatterConfig, lmax: int, r: float) -> np.ndarray:

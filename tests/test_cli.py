@@ -292,6 +292,29 @@ class TestMalformedInput:
         spec = self.sweep_spec(tmp_path, {"potential": str(missing)})
         self.expect_unreadable(["sweep", "--spec", spec, "--out", tmp_path], missing, capsys)
 
+    @pytest.mark.parametrize("source", [{"file": 5}, {"potential": 5}, {"inline": "abc"}],
+                             ids=["file", "potential", "inline"])
+    def test_sweep_source_of_wrong_type(self, tmp_path, capsys, source):
+        spec = self.sweep_spec(tmp_path, source)
+        self.expect_error(["sweep", "--spec", spec, "--out", tmp_path], capsys)
+
+    def test_sweep_inline_shift_with_non_finite_phase_factor(self, tmp_path, capsys):
+        spec = self.sweep_spec(tmp_path, {"inline": [1e308]})
+        self.expect_error(["sweep", "--spec", spec, "--out", tmp_path], capsys)
+
+    def test_delta_with_non_finite_phase_factor(self, tmp_path, capsys):
+        assert run(["wavefield", "--n", 3, "--k", 1.0, "--delta", "1e308",
+                    "--out", tmp_path]) == 2
+        assert "is not finite at l=0" in capsys.readouterr().err
+        assert not (tmp_path / "wavefield.csv").exists()
+
+    def test_potential_radius_not_finite(self, tmp_path, capsys):
+        pot = tmp_path / "pot.json"
+        pot.write_text('{"kind": "hard_hypersphere", "a": Infinity}')
+        assert run(["phaseshifts", "--n", 3, "--k", 1.0, "--potential", pot,
+                    "--out", tmp_path]) == 2
+        assert "a must be finite" in capsys.readouterr().err
+
     def test_delta_not_a_number(self, tmp_path, capsys):
         self.expect_error(["wavefield", "--n", 3, "--k", 1.0, "--delta=abc",
                            "--out", tmp_path], capsys)

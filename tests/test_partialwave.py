@@ -424,6 +424,14 @@ class TestTypes:
         with pytest.raises(errors.DomainError):
             PhaseShiftSet.from_deltas([float("nan")])
 
+    @pytest.mark.parametrize("deltas, l", [
+        ([0.1, 1e308], 1),  # 2 delta overflows, e^{2i delta} is nan
+        ([0.1 - 400j, 0.2], 0),  # |e^{2i delta}| = e^800 overflows
+    ])
+    def test_shift_with_non_finite_phase_factor(self, deltas, l):
+        with pytest.raises(errors.DomainError, match=f"at l={l}"):
+            PhaseShiftSet.from_deltas(deltas)
+
     def test_config_validation(self):
         with pytest.raises(errors.DomainError):
             ScatterConfig(n=0, k=1.0)

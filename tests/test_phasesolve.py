@@ -348,6 +348,50 @@ class TestOnePass:
             assert w.filename == __file__
 
 
+class TestRealPairMatching:
+    """The free-region fit in (F, G), F + iG = h1/r^s: no cancellation under
+    the centrifugal barrier, and one Bessel path for every solver."""
+
+    @pytest.mark.filterwarnings("ignore:matching at")
+    def test_no_spurious_matching_error(self):
+        # the former complex (h2, h1) fit raised MatchingError at l = 11..15
+        pot = smooth_well()
+        for n in range(2, 7):
+            res = solve_potential_shifts(ScatterConfig(n=n, k=0.5), pot, 20)
+            assert max(m.c_over_d_residual for m in res) < 1e-9
+            if n == 3:
+                for l in (5, 15):
+                    ref = dop853_shift(3, 0.5, pot, l)
+                    assert abs(cmath.exp(2j * res[l].delta) - cmath.exp(2j * ref)) < 1e-9
+
+    @pytest.mark.filterwarnings("ignore:matching at")
+    def test_forbidden_region_residuals(self):
+        pot = tabulated_well(1.0, -0.5, width=2e-3, spacing=1e-3)
+        cfg = ScatterConfig(n=3, k=0.1)
+        for l in range(7):
+            assert ode_shift(cfg, pot, l).c_over_d_residual < 1e-10
+
+    @pytest.mark.filterwarnings("ignore:matching at")
+    def test_solvers_never_call_the_scalar_route(self, monkeypatch):
+        from scatterkit import specfun
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scalar Bessel route called")
+
+        monkeypatch.setattr(specfun, "spherical_hankel", forbidden)
+        monkeypatch.setattr(specfun, "spherical_bessel_j", forbidden)
+        potentials = [
+            PotentialModel.hard_sphere(0.8),
+            PotentialModel.square_well(1.0, -2.0),  # propagating interior
+            PotentialModel.square_well(1.0, 5.0),  # evanescent interior
+            tabulated_well(1.0, -1.0, width=2e-3, spacing=1e-3),
+        ]
+        for n in range(1, 5):
+            for pot in potentials:
+                res = solve_potential_shifts(ScatterConfig(n=n, k=1.5), pot, 3)
+                assert [m.l for m in res] == [0, 1, 2, 3]
+
+
 class TestOdeAccuracy:
     @pytest.mark.parametrize("l", [
         pytest.param(0, marks=pytest.mark.xfail(strict=True, reason=(
@@ -381,6 +425,16 @@ class TestSolveDispatch:
         res = solve_potential_shifts(cfg, pot, 1)
         assert len(res) == 2
 
+    def test_negative_l_and_empty_range(self):
+        cfg = ScatterConfig(n=3, k=1.0)
+        pot = tabulated_well(1.0, -1.0, width=2e-3, spacing=1e-3)
+        for solve in (lambda: hard_sphere_shift(cfg, 1.0, -1),
+                      lambda: square_well_shift(cfg, 1.0, -1.0, -1),
+                      lambda: ode_shift(cfg, pot, -1)):
+            with pytest.raises(errors.DomainError, match="l=-1"):
+                solve()
+        assert solve_potential_shifts(cfg, pot, -1) == []
+
 
 class TestPotentialModel:
     def test_validation(self):
@@ -392,6 +446,18 @@ class TestPotentialModel:
             PotentialModel.tabulated([0.0, 1.0], [1.0, 2.0])  # nonzero tail
         with pytest.raises(errors.DomainError):
             PotentialModel.tabulated([1.0, 0.5], [1.0, 0.0])  # not increasing
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: PotentialModel.hard_sphere(math.inf), "a"),
+        (lambda: PotentialModel.square_well(1.0, math.nan), "V0"),
+        (lambda: PotentialModel.tabulated([0.0, 1.0, 2.0], [1.0, math.nan, 0.0]), "v_table"),
+        (lambda: PotentialModel.tabulated([0.0, 1.0, 2.0], [-math.inf, 1.0, 0.0]), "v_table"),
+        (lambda: PotentialModel.tabulated([0.0, math.nan, 2.0], [1.0, 1.0, 0.0]), "r_table"),
+        (lambda: PotentialModel.tabulated([0.0, 1.0, math.inf], [1.0, 1.0, 0.0]), "r_table"),
+    ], ids=["a", "V0", "v_table-nan", "v_table-inf", "r_table-nan", "r_table-inf"])
+    def test_non_finite_fields_rejected(self, make, field):
+        with pytest.raises(errors.DomainError, match=rf"\b{field} must be finite"):
+            make()
 
     def test_json_round_trip(self):
         for pot in (
