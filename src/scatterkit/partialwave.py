@@ -6,11 +6,11 @@ the exact radial solutions h_nu(kr)/r^((n-3)/2) instead of their
 large-distance limits, so fields and coefficients are valid at any finite
 observer distance.
 
-Dimension dispatch: n >= 3 uses the Gegenbauer angular basis, n = 2 the
-cos(l*theta) basis with degeneracy weights (the generic coefficient has a
-removable singularity there), and n = 1 the two-direction basis
-theta in {0, pi}.  The planar and one-dimensional branches are first-class
-closed forms, not limits of the generic path.
+Dimension is a parameter: C_l C_l^lam(cos theta), lam = n/2 - 1, is formed
+as P i^l Q_l^lam(cos theta), with one l-independent prefactor P and the
+normalised basis Q_l^lam = ((l + lam)/lam) C_l^lam, finite at lam = 0
+(n = 2, Deg(l) cos(l theta)) and lam = -1/2 (n = 1, theta in {0, pi}).
+So every n runs one path; the paper's per-dimension forms stay as oracles.
 
 Production fields are contractions against one partial-wave basis per grid
 (evaluate_grid); plane_wave, radial_wavefunction's sine form and
@@ -29,8 +29,8 @@ from itertools import repeat
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, TruncationError, WrongDimensionError
-from .specfun import DEFAULT_SERIES, Order, SeriesControl
+from .errors import DomainError, OverflowGuardError, TruncationError, WrongDimensionError
+from .specfun import Order, SeriesControl
 
 __all__ = [
     "ScatterConfig",
@@ -173,28 +173,28 @@ _I_POWERS = np.array([1, 1j, -1, -1j])  # i^l = _I_POWERS[l % 4], exactly
 
 
 def _coef_vector(n: int, k: float, lmax: int) -> np.ndarray:
-    """C_l for l = 0..lmax (see mode_coefficient)."""
-    ls = np.arange(lmax + 1)
-    il = _I_POWERS[ls % 4]
-    if n == 1:
-        return -0.5 * k * (2 * ls - 1) * il
-    if n == 2:
-        # degeneracy weight Deg(l): 1 for l = 0, else 2
-        return 0.5 * math.sqrt(2.0 * k / math.pi) * np.where(ls == 0, 1, 2) * il
-    pref = math.gamma(n / 2.0 - 1.0) / (
-        math.sqrt(math.pi) * (k / 2.0) ** ((n - 3) / 2.0)
-    )
-    return 0.5 * pref * (2 * ls + n - 2) * il
+    """P i^l for l = 0..lmax, P = Gamma(n/2) / (sqrt(pi) (k/2)^((n-3)/2)).
+
+    P i^l Q_l^lam = C_l C_l^lam in every n (see angular_table).
+    """
+    try:
+        pref = math.gamma(n / 2.0) / (math.sqrt(math.pi) * (k / 2.0) ** ((n - 3) / 2.0))
+        if not 0.0 < pref < math.inf:
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise OverflowGuardError(f"mode prefactor overflows at n={n}, k={k}") from exc
+    return pref * _I_POWERS[np.arange(lmax + 1) % 4]
 
 
 def mode_coefficient(n: int, k: float, l: int) -> complex:
     """Incoming coefficient C_l fixed by the plane-wave normalisation.
 
-    Generic form:  Gamma(n/2-1)/(sqrt(pi) (k/2)^((n-3)/2)) (2l+n-2) i^l / 2.
-    n = 2 takes the removable-singularity limit Deg(l) sqrt(2k/pi) i^l / 2,
-    n = 1 evaluates the Gamma prefactor to -k.
+    Generic form:  Gamma(n/2-1)/(sqrt(pi) (k/2)^((n-3)/2)) (2l+n-2) i^l / 2,
+    that is P i^l (l + lam)/lam with lam = n/2 - 1.  n = 2 takes the
+    removable-singularity limit Deg(l) sqrt(2k/pi) i^l / 2.
     """
-    return complex(_coef_vector(n, k, l)[l])
+    weight = (1 if l == 0 else 2) if n == 2 else (2 * l + n - 2) / (n - 2)
+    return complex(_coef_vector(n, k, l)[l] * weight)
 
 
 def _grid_axes(r_values, theta_values) -> tuple[np.ndarray, np.ndarray]:
@@ -230,21 +230,15 @@ def angular_value(n: int, l: int, theta: float) -> float:
 
 
 def angular_table(n: int, lmax: int, thetas: np.ndarray) -> np.ndarray:
-    """Angular basis values, shape (lmax+1, len(thetas))."""
+    """Q_l^lam(cos theta), lam = n/2 - 1, shape (lmax+1, len(thetas)).
+
+    Weighted by _coef_vector it equals mode_coefficient * angular_value.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    if n == 1:
-        x = np.empty_like(thetas)
-        for i, t in enumerate(thetas.ravel()):
-            x.ravel()[i] = 1.0 if _check_theta_1d(float(t)) else -1.0
-        out = np.zeros((lmax + 1,) + thetas.shape)
-        out[0] = 1.0
-        if lmax >= 1:
-            out[1] = -x
-        return out
-    if n == 2:
-        ls = np.arange(lmax + 1)
-        return np.cos(np.multiply.outer(ls, thetas))
-    return specfun.gegenbauer_table(lmax, n / 2.0 - 1.0, np.cos(thetas))
+    x = np.cos(thetas)
+    if n == 1:  # theta in {0, pi} only, as x = +-1 exactly
+        x = np.reshape([1.0 if _check_theta_1d(t) else -1.0 for t in thetas.flat], x.shape)
+    return specfun.harmonic_table(lmax, n / 2.0 - 1.0, x)
 
 
 # --------------------------------------------------------------------------

@@ -53,6 +53,7 @@ __all__ = [
     "pochhammer",
     "gegenbauer",
     "gegenbauer_table",
+    "harmonic_table",
     "bessel_polynomial",
     "bessel_polynomial_coefficients",
     "tricomi_u_integer_b",
@@ -157,8 +158,7 @@ def pochhammer(alpha: float, m: int) -> float:
 def gegenbauer_table(lmax: int, lam: float, x: np.ndarray) -> np.ndarray:
     """C_l^lam(x) for l = 0..lmax by the three-term recurrence, vectorised in x.
 
-    Valid for lam != 0; the planar lam = 0 case is handled by callers with
-    the cos(l*theta) closed form.
+    Valid for lam != 0; the oracle of `harmonic_table`, which production uses.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((lmax + 1,) + x.shape, dtype=float)
@@ -167,6 +167,26 @@ def gegenbauer_table(lmax: int, lam: float, x: np.ndarray) -> np.ndarray:
         out[1] = 2.0 * lam * x
     for l in range(2, lmax + 1):
         out[l] = (2.0 * (l + lam - 1.0) * x * out[l - 1] - (l + 2.0 * lam - 2.0) * out[l - 2]) / l
+    return out
+
+
+def harmonic_table(lmax: int, lam: float, x: np.ndarray) -> np.ndarray:
+    """Q_l^lam(x) = ((l + lam)/lam) C_l^lam(x) for l = 0..lmax, vectorised in x.
+
+    The angular basis of every dimension, lam = n/2 - 1 >= -1/2: finite at
+    lam = 0, where Q_l = Deg(l) cos(l theta), and exactly [1, x, 0, ...] at
+    lam = -1/2, x = +-1.  Q_l = ((l + lam)/l) [2x Q_(l-1) - rho_l Q_(l-2)]
+    with rho_l = (l + 2 lam - 2)/(l + lam - 2), and rho_2 = 2 (0/0 at lam = 0).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((lmax + 1,) + x.shape, dtype=float)
+    out[0] = 1.0
+    if lmax >= 1:
+        out[1] = 2.0 * (1.0 + lam) * x
+    two_x = 2.0 * x
+    for l in range(2, lmax + 1):
+        rho = 2.0 if l == 2 else (l + 2.0 * lam - 2.0) / (l + lam - 2.0)
+        out[l] = (l + lam) / l * (two_x * out[l - 1] - rho * out[l - 2])
     return out
 
 
@@ -418,12 +438,17 @@ def spherical_bessel_j(
 _SEED_MARGIN = 20
 # Smallest |J| accepted as a seed: a normal float with room to spare.
 _SEED_FLOOR = 1e-280
+# Largest basis argument: scipy's jv/yv seeds are within 5e-16 of their
+# amplitude up to here, but 0.2 off at 3e15 and 0.9 at 1e16.
+_Z_MAX = 1e15
 
 
 def _basis_prefactor(z: float) -> float:
     """sqrt(pi / 2z) for a basis at argument z; rejects z it cannot serve."""
     if not (z > 0 and math.isfinite(z)):
         raise DomainError(f"argument must be real, finite and > 0, got z={z}")
+    if z > _Z_MAX:
+        raise DomainError(f"kr = {z:.6g} exceeds the limit {_Z_MAX:.0e} of the Bessel basis")
     pref = math.sqrt(math.pi / (2.0 * z))
     if math.isinf(pref):
         raise OverflowGuardError(f"sqrt(pi/2z) overflows at z={z}")
@@ -490,9 +515,11 @@ def hankel_basis(n: int, lmax: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     downward run is ~z/2 + margin steps and runs only for lmax > m, so the
     cost is O(lmax); every entry depends on (n, l, z) only, never on lmax.
     Returns two complex arrays of length lmax+1; raises OverflowGuardError
-    where Y overflows.
+    where Y overflows, and DomainError for lmax < 0 or z above 1e15.
     """
     pref = _basis_prefactor(z)
+    if lmax < 0:
+        raise DomainError(f"lmax must be >= 0, got {lmax}")
     mu0 = (n - 2) / 2.0
     coefs = _recurrence_coefs(mu0, 1, lmax, z)
     y0, y1 = (pref * float(v) for v in yv((mu0, mu0 + 1.0), z))

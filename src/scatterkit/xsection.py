@@ -30,6 +30,7 @@ from .errors import (
     ConsistencyError,
     DegenerateCurrentError,
     DomainError,
+    OverflowGuardError,
     WrongDimensionError,
 )
 from .partialwave import (
@@ -112,19 +113,16 @@ class AsymptoticAmplitude:
 def _angular_derivative_table(n: int, lmax: int, theta: np.ndarray) -> np.ndarray:
     """d/dtheta of angular_table, shape (lmax+1, len(theta)).
 
-    -l sin(l theta) in n = 2, d/dx C_l^lam = 2 lam C_{l-1}^{lam+1} in n >= 3;
+    dQ_l^lam/dtheta = -2 (lam + 1) sin(theta) Q_(l-1)^(lam+1)(cos theta);
     nan in n = 1, which has no continuous angle.
     """
     if n == 1:
         return np.full((lmax + 1, theta.size), np.nan)
-    ls = np.arange(lmax + 1)[:, None]
-    if n == 2:
-        return -ls * np.sin(ls * theta)
     lam = n / 2.0 - 1.0
     out = np.zeros((lmax + 1, theta.size))
     if lmax >= 1:
-        upper = specfun.gegenbauer_table(lmax - 1, lam + 1.0, np.cos(theta))
-        out[1:] = -np.sin(theta) * 2.0 * lam * upper
+        upper = specfun.harmonic_table(lmax - 1, lam + 1.0, np.cos(theta))
+        out[1:] = -2.0 * (lam + 1.0) * np.sin(theta) * upper
     return out
 
 
@@ -389,10 +387,12 @@ def f_theta_asymptotic(
 
 
 def sigma_total_mode_terms(config: ScatterConfig, shifts: PhaseShiftSet) -> np.ndarray:
-    """Per-mode contributions to the asymptotic total cross section.
+    """Per-mode contributions to the asymptotic total cross section,
 
-    n >= 3:  [4 pi^((n-1)/2) / Gamma((n-1)/2)] k^(1-n) (2l+n-2) (l+1)_(n-3) sin^2 d_l
-    n = 2:   (4/k) Deg(l) sin^2 d_l  (the removable-singularity limit).
+        4 Gamma(n/2) (4 pi)^((n-2)/2) k^(1-n) N(n, l) sin^2 d_l,
+
+    N(n, l) = C(l+n-1, l) - C(l+n-3, l-2) (second term 0 for l < 2) the
+    number of degree-l harmonics, Deg(l) at n = 2.
     """
     if config.n < 2:
         raise WrongDimensionError("total cross section defined for n >= 2")
@@ -400,22 +400,17 @@ def sigma_total_mode_terms(config: ScatterConfig, shifts: PhaseShiftSet) -> np.n
         raise DomainError("total cross-section formula assumes real phase shifts")
     n, k = config.n, config.k
     sins = np.array([math.sin(d.real) ** 2 for d in shifts.delta])
-    if n == 2:
-        degs = np.array([1 if l == 0 else 2 for l in range(shifts.lmax + 1)])
-        return 4.0 / k * degs * sins
-    pref = (
-        4.0
-        * math.pi ** ((n - 1) / 2.0)
-        / math.gamma((n - 1) / 2.0)
-        * k ** (1 - n)
-    )
-    weights = np.array(
-        [
-            (2 * l + n - 2) * specfun.pochhammer(l + 1.0, n - 3)
-            for l in range(shifts.lmax + 1)
-        ]
-    )
-    return pref * weights * sins
+    try:
+        pref = 4.0 * math.gamma(n / 2.0) * (4.0 * math.pi) ** ((n - 2) / 2.0) * k ** (1 - n)
+        degs = np.array([float(math.comb(l + n - 1, l) - (l > 1 and math.comb(l + n - 3, l - 2)))
+                         for l in range(shifts.lmax + 1)])
+        with np.errstate(over="ignore"):
+            terms = pref * degs * sins
+        if not np.isfinite(terms).all():
+            raise OverflowError
+    except OverflowError as exc:
+        raise OverflowGuardError(f"total cross section overflows at n={n}, k={k}") from exc
+    return terms
 
 
 def sigma_total_asymptotic(config: ScatterConfig, shifts: PhaseShiftSet) -> float:

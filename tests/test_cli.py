@@ -325,6 +325,22 @@ class TestMalformedInput:
                            "--out", tmp_path], capsys)
 
 
+class TestLoudLimits:
+    """Inputs past the float range or the Bessel basis exit 2 with one `error:` line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["xsection", "--n", 300, "--k", 0.01, "--delta", 0.3],
+        ["xsection", "--n", 400, "--k", 1, "--delta", 0.3],
+        ["xsection", "--n", 3, "--k", 1e17, "--delta", 0.3],
+        ["wavefield", "--n", 3, "--k", 1e300, "--delta", 0.3, "--jobs", 1],
+    ])
+    def test_exit_two(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not (tmp_path / "xsection.csv").exists()
+
+
 class TestImport:
     def test_cli_import_leaves_mpmath_unloaded(self):
         # mpmath serves only the route-A test oracle; the CLI must not pay

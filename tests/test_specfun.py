@@ -429,6 +429,23 @@ class TestHankelBasis:
                 ref = complex(pref * mp.besselj(l + 1, z), pref * mp.bessely(l + 1, z))
                 assert abs(h1[l] - ref) <= 1e-14 * abs(ref), l
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_largest_argument_against_mpmath(self, n):
+        h2, h1 = hankel_basis(n, 3, 1e15)
+        with mp.workdps(60):
+            pref = mp.sqrt(mp.pi / (2 * mp.mpf(1e15)))
+            for l in range(4):
+                mu = l + mp.mpf(n - 2) / 2
+                ref = complex(pref * mp.besselj(mu, 1e15), pref * mp.bessely(mu, 1e15))
+                assert abs(h1[l] - ref) <= 1e-14 * abs(ref), l
+
+    def test_argument_above_limit_and_negative_lmax_rejected(self):
+        # scipy's seeds lose their digits above z ~ 1e15 (0.2 off at 3e15)
+        with pytest.raises(errors.DomainError, match="1e\\+15"):
+            hankel_basis(3, 3, 1.01e15)
+        with pytest.raises(errors.DomainError, match="lmax"):
+            hankel_basis(3, -1, 2.0)
+
     def test_tiny_argument_keeps_j(self):
         # jv at the unlowered seed ceil(z) + 20 underflows to 0 here
         h2, h1 = hankel_basis(3, 17, 1e-15)
